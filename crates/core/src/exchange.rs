@@ -25,6 +25,8 @@
 //! because SOAP is stateless, the transaction id carried in every call is
 //! the only shared context — exactly the experiment the paper proposed.
 
+use std::sync::Arc;
+
 use skyquery_soap::{RpcCall, SoapValue};
 use skyquery_sql::parse_query;
 use skyquery_storage::{ColumnDef, TableSchema};
@@ -126,7 +128,10 @@ impl Portal {
             .param("txn", SoapValue::Int(txn_id as i64))
             .param("dest_table", SoapValue::Str(dest_table.to_string()))
             .param("schema", SoapValue::Xml(schema_el))
-            .param("rows", SoapValue::Table(rows.to_votable("transfer")));
+            .param(
+                "rows",
+                SoapValue::EncodedTable(Arc::new(rows.encode("transfer"))),
+            );
         let vote = send_rpc_with(&net, self.host(), &dest.url, &prepare, retry);
         let staged = match vote {
             Ok(resp) => resp

@@ -1428,7 +1428,7 @@ impl Portal {
                 plan,
                 idx,
                 v_old,
-                Some(&input.to_votable()),
+                Some(&Arc::new(input.encode())),
             )?;
             observed = Some(version);
             stats = combine_delta_stats(stats, first_stats(&chain));
@@ -1445,7 +1445,7 @@ impl Portal {
                 plan,
                 idx,
                 0,
-                Some(&input.to_votable()),
+                Some(&Arc::new(input.encode())),
             )?;
             if observed.is_none() && needs_delta {
                 observed = Some(version);
@@ -1549,7 +1549,7 @@ impl Portal {
                     plan,
                     idx,
                     v_old,
-                    Some(&input.to_votable()),
+                    Some(&Arc::new(input.encode())),
                 )?;
                 observed = Some(version);
                 stats = combine_delta_stats(stats, first_stats(&chain));
@@ -1567,7 +1567,7 @@ impl Portal {
                 plan,
                 idx,
                 0,
-                Some(&input.to_votable()),
+                Some(&Arc::new(input.encode())),
             )?;
             if observed.is_none() && needs_delta {
                 observed = Some(version);
@@ -1814,12 +1814,13 @@ impl Portal {
                 .carried
                 .push(shard::RANK_COL.to_string());
         }
+        // Encoded once, shared by every shard probe (and any retry).
         let input_table = input.map(|set| {
-            if multi {
-                shard::tag_with_src(set).to_votable()
+            Arc::new(if multi {
+                shard::tag_with_src(set).encode()
             } else {
-                set.to_votable()
-            }
+                set.encode()
+            })
         });
 
         let net = &self.net;
@@ -2942,7 +2943,10 @@ impl Endpoint for Portal {
                         );
                     }
                     Ok(RpcResponse::new("SkyQuery")
-                        .result("result", SoapValue::Table(result.to_votable("result")))
+                        .result(
+                            "result",
+                            SoapValue::EncodedTable(Arc::new(result.encode("result"))),
+                        )
                         // Partial-result honesty crosses the wire too:
                         // a remote client sees the same degraded flag a
                         // local caller reads off the ResultSet.

@@ -1,8 +1,7 @@
 //! Result sets crossing the wire: typed rows ↔ VOTable payloads.
 
 use skyquery_storage::{DataType, Row, Value};
-use skyquery_xml::votable::format_f64;
-use skyquery_xml::{VoColumn, VoTable, VoType};
+use skyquery_xml::{EncodedTable, TableEncoder, VoCell, VoColumn, VoTable, VoType};
 
 use crate::error::{FederationError, Result};
 
@@ -100,29 +99,47 @@ impl ResultSet {
             .map(|c| VoColumn::new(c.name.clone(), dtype_to_votype(c.dtype)))
             .collect();
         let mut t = VoTable::new(name, cols);
-        for row in &self.rows {
-            let cells = row.iter().map(value_to_cell).collect();
-            t.push_row(cells)
-                .expect("rows conform to columns by construction");
-        }
+        t.rows = self
+            .rows
+            .iter()
+            .map(|row| row.iter().cloned().map(value_to_cell).collect())
+            .collect();
         t
+    }
+
+    /// Encodes the VOTable wire payload once, straight from the rows.
+    pub fn encode(&self, name: &str) -> EncodedTable {
+        let columns = self
+            .columns
+            .iter()
+            .map(|c| (c.name.as_str(), dtype_to_votype(c.dtype)));
+        EncodedTable::build(name, columns, |enc| {
+            for row in &self.rows {
+                enc.row();
+                for v in row {
+                    encode_value(enc, v);
+                }
+                enc.end_row();
+            }
+        })
     }
 
     /// Decodes from the VOTable wire payload.
     pub fn from_votable(t: &VoTable) -> Result<ResultSet> {
-        let columns: Vec<ResultColumn> = t
-            .columns
+        ResultSet::decode(&t.columns, t.rows.iter().map(|r| r.iter().cloned()))
+    }
+
+    fn decode<R>(columns: &[VoColumn], rows: impl Iterator<Item = R>) -> Result<ResultSet>
+    where
+        R: Iterator<Item = VoCell>,
+    {
+        let columns = columns
             .iter()
             .map(|c| ResultColumn::new(c.name.clone(), votype_to_dtype(c.vtype)))
             .collect();
         let mut rs = ResultSet::new(columns);
-        for row in &t.rows {
-            let values: Result<Row> = row
-                .iter()
-                .zip(&t.columns)
-                .map(|(cell, col)| cell_to_value(cell.as_deref(), col.vtype))
-                .collect();
-            rs.push_row(values?)?;
+        for row in rows {
+            rs.push_row(row.map(cell_to_value).collect())?;
         }
         Ok(rs)
     }
@@ -160,7 +177,16 @@ impl ResultSet {
     }
 }
 
-fn dtype_to_votype(d: DataType) -> VoType {
+/// Decodes the VOTable wire payload, moving its cells.
+impl TryFrom<VoTable> for ResultSet {
+    type Error = FederationError;
+
+    fn try_from(t: VoTable) -> Result<ResultSet> {
+        ResultSet::decode(&t.columns, t.rows.into_iter().map(Vec::into_iter))
+    }
+}
+
+pub(crate) fn dtype_to_votype(d: DataType) -> VoType {
     match d {
         DataType::Bool => VoType::Bool,
         DataType::Int => VoType::Int,
@@ -170,7 +196,7 @@ fn dtype_to_votype(d: DataType) -> VoType {
     }
 }
 
-fn votype_to_dtype(v: VoType) -> DataType {
+pub(crate) fn votype_to_dtype(v: VoType) -> DataType {
     match v {
         VoType::Bool => DataType::Bool,
         VoType::Int => DataType::Int,
@@ -180,29 +206,40 @@ fn votype_to_dtype(v: VoType) -> DataType {
     }
 }
 
-fn value_to_cell(v: &Value) -> Option<String> {
+/// A stored value as a wire cell.
+pub(crate) fn value_to_cell(v: Value) -> VoCell {
     match v {
-        Value::Null => None,
-        Value::Bool(b) => Some(b.to_string()),
-        Value::Int(i) => Some(i.to_string()),
-        Value::Float(x) => Some(format_f64(*x)),
-        Value::Text(s) => Some(s.clone()),
-        Value::Id(u) => Some(u.to_string()),
+        Value::Null => VoCell::Null,
+        Value::Bool(b) => VoCell::Bool(b),
+        Value::Int(i) => VoCell::Int(i),
+        Value::Float(x) => VoCell::Float(x),
+        Value::Text(s) => VoCell::Text(s),
+        Value::Id(u) => VoCell::Id(u),
     }
 }
 
-fn cell_to_value(cell: Option<&str>, ty: VoType) -> Result<Value> {
-    let Some(text) = cell else {
-        return Ok(Value::Null);
-    };
-    let bad = |what: &str| FederationError::protocol(format!("cell {text:?} is not a {what}"));
-    Ok(match ty {
-        VoType::Bool => Value::Bool(text.parse().map_err(|_| bad("boolean"))?),
-        VoType::Int => Value::Int(text.parse().map_err(|_| bad("long"))?),
-        VoType::Float => Value::Float(text.parse().map_err(|_| bad("double"))?),
-        VoType::Text => Value::Text(text.to_string()),
-        VoType::Id => Value::Id(text.parse().map_err(|_| bad("unsignedLong"))?),
-    })
+/// A wire cell as a stored value.
+pub(crate) fn cell_to_value(c: VoCell) -> Value {
+    match c {
+        VoCell::Null => Value::Null,
+        VoCell::Bool(b) => Value::Bool(b),
+        VoCell::Int(i) => Value::Int(i),
+        VoCell::Float(x) => Value::Float(x),
+        VoCell::Text(s) => Value::Text(s),
+        VoCell::Id(u) => Value::Id(u),
+    }
+}
+
+/// Writes a stored value as one cell of a table being encoded.
+pub(crate) fn encode_value(enc: &mut TableEncoder<'_>, v: &Value) {
+    match v {
+        Value::Null => enc.null(),
+        Value::Bool(b) => enc.bool(*b),
+        Value::Int(i) => enc.int(*i),
+        Value::Float(x) => enc.float(*x),
+        Value::Text(s) => enc.text(s),
+        Value::Id(u) => enc.id(*u),
+    }
 }
 
 #[cfg(test)]
@@ -242,6 +279,12 @@ mod tests {
     }
 
     #[test]
+    fn one_pass_encode_matches_the_table_encoding() {
+        let rs = demo();
+        assert_eq!(rs.encode("r").as_str(), rs.to_votable("r").to_xml());
+    }
+
+    #[test]
     fn votable_roundtrip_through_xml() {
         let rs = demo();
         let xml = rs.to_votable("r").to_xml();
@@ -277,8 +320,14 @@ mod tests {
     fn bad_cells_rejected() {
         let mut t = VoTable::new("x", vec![VoColumn::new("n", VoType::Int)]);
         t.push_row(vec![Some("5".into())]).unwrap();
-        // Mutate the cell behind validation to simulate a corrupt payload.
-        t.rows[0][0] = Some("five".into());
-        assert!(ResultSet::from_votable(&t).is_err());
+        // Corrupt the cell on the wire: a typed table cannot hold it, so
+        // the decode of the payload text must refuse it.
+        let xml = t.to_xml().replace("<TD>5</TD>", "<TD>five</TD>");
+        assert!(VoTable::parse(&xml).is_err());
+        let good = VoTable::parse(&t.to_xml()).unwrap();
+        assert_eq!(
+            ResultSet::from_votable(&good).unwrap().rows[0][0],
+            Value::Int(5)
+        );
     }
 }

@@ -30,7 +30,7 @@ use skyquery_soap::{
 };
 use skyquery_sql::parse_query;
 use skyquery_storage::Database;
-use skyquery_xml::VoTable;
+use skyquery_xml::EncodedTable;
 
 use crate::engine::{default_engine, CrossMatchEngine, PartialIngest, StepKind};
 use crate::error::{FederationError, Result};
@@ -41,7 +41,9 @@ use crate::plan::{ExecutionPlan, DEFAULT_LEASE_TTL_S};
 use crate::query_exec::{execute_local, LocalQueryResult};
 use crate::service::ServiceMethod;
 use crate::trace::StatsChain;
-use crate::transfer::{open_checkpoint, open_cross_match, zone_label, IncomingPartial};
+use crate::transfer::{
+    check_chunk_schema, open_checkpoint, open_cross_match, zone_label, IncomingPartial,
+};
 use crate::xmatch::PartialSet;
 
 pub use crate::transfer::{invoke_cross_match, send_rpc};
@@ -284,19 +286,24 @@ impl SkyNodeBuilder {
     }
 }
 
+/// The chunks of one outgoing transfer, each encoded and shared with
+/// the replies that serve it.
+type OutgoingChunks = Vec<(ChunkHeader, Arc<EncodedTable>)>;
+
 /// A SkyNode wrapping one archive database.
 pub struct SkyNode {
     info: ArchiveInfo,
     host: String,
     db: Mutex<Database>,
-    /// Outgoing chunked transfers awaiting FetchChunk calls, leased.
-    pending: Mutex<LeaseTable<Vec<(ChunkHeader, VoTable)>>>,
+    /// Outgoing chunked transfers awaiting FetchChunk calls, leased: each
+    /// chunk already encoded, cut from the one encoding of its set.
+    pending: Mutex<LeaseTable<OutgoingChunks>>,
     next_transfer: AtomicU64,
     /// Checkpointed partial sets retained for portal-driven stepwise
     /// execution, leased: the committed result of each `ExecuteStep`
     /// stays here until the Portal releases it (or its lease lapses), so
     /// a mid-chain failure can resume without re-running this step.
-    checkpoints: Mutex<LeaseTable<PartialSet>>,
+    checkpoints: Mutex<LeaseTable<Arc<PartialSet>>>,
     next_checkpoint: AtomicU64,
     /// Successful cross-match step executions (seed, match, or drop-out)
     /// performed by this node — the no-re-execution witness for the
@@ -427,10 +434,8 @@ impl SkyNode {
             LocalQueryResult::Count(n) => {
                 Ok(RpcResponse::new("Query").result("count", SoapValue::Int(n as i64)))
             }
-            LocalQueryResult::Rows(rs) => {
-                Ok(RpcResponse::new("Query")
-                    .result("rows", SoapValue::Table(rs.to_votable("rows"))))
-            }
+            LocalQueryResult::Rows(rs) => Ok(RpcResponse::new("Query")
+                .result("rows", SoapValue::EncodedTable(Arc::new(rs.encode("rows"))))),
         }
     }
 
@@ -560,7 +565,7 @@ impl SkyNode {
         self.executed_steps.fetch_add(1, Ordering::Relaxed);
         stats_chain.push(plan.steps[step].alias.clone(), stats);
 
-        self.encode_set_response(net, &plan, "CrossMatch", set, Some(&stats_chain))
+        self.encode_set_response(net, &plan, "CrossMatch", &set, Some(&stats_chain))
     }
 
     /// One portal-driven step of the checkpointed chain. Unlike
@@ -653,7 +658,7 @@ impl SkyNode {
         let cp_id = self.next_checkpoint.fetch_add(1, Ordering::Relaxed);
         self.checkpoints
             .lock()
-            .insert(cp_id, set, net.now_s(), plan.lease_ttl_s);
+            .insert(cp_id, Arc::new(set), net.now_s(), plan.lease_ttl_s);
         net.record_node_event(&self.host, "lease-granted");
         let mut chain = StatsChain::new();
         chain.push(plan.steps[step].alias.clone(), stats);
@@ -706,7 +711,7 @@ impl SkyNode {
         self.executed_steps.fetch_add(1, Ordering::Relaxed);
         let mut chain = StatsChain::new();
         chain.push(plan.steps[step].alias.clone(), stats);
-        self.encode_set_response(net, &plan, "ScatterStep", set, Some(&chain))
+        self.encode_set_response(net, &plan, "ScatterStep", &set, Some(&chain))
     }
 
     /// One cross-match step restricted to the rows inserted at or after
@@ -787,7 +792,7 @@ impl SkyNode {
         self.executed_steps.fetch_add(1, Ordering::Relaxed);
         let mut chain = StatsChain::new();
         chain.push(plan.steps[step].alias.clone(), stats);
-        let resp = self.encode_set_response(net, &plan, "DeltaStep", set, Some(&chain))?;
+        let resp = self.encode_set_response(net, &plan, "DeltaStep", &set, Some(&chain))?;
         Ok(resp.result("version", SoapValue::Int(version as i64)))
     }
 
@@ -815,7 +820,7 @@ impl SkyNode {
             cps.get(id).cloned().expect("renewed above")
         };
         net.record_node_event(&self.host, "lease-renewed");
-        self.encode_set_response(net, &plan, "FetchCheckpoint", set, None)
+        self.encode_set_response(net, &plan, "FetchCheckpoint", &set, None)
     }
 
     /// Frees a checkpointed partial set. Idempotent: an unknown id
@@ -870,10 +875,13 @@ impl SkyNode {
         kind: StepKind,
     ) -> Result<(PartialSet, crate::xmatch::StepStats)> {
         let mut session: Option<Box<dyn PartialIngest + '_>> = None;
+        let mut first_columns: Option<Vec<crate::result::ResultColumn>> = None;
         let mut next_seq = 0u64;
         while let Some(chunk) = stream.fetch_next()? {
-            let set = PartialSet::from_votable(&chunk.table)?;
-            let columns = set.columns;
+            let set = PartialSet::try_from(chunk.table)?;
+            if let Some(first) = &first_columns {
+                check_chunk_schema(first, &set.columns, chunk.index)?;
+            }
             let pairs: Vec<_> = match chunk.seqs {
                 Some(seqs) => seqs
                     .into_iter()
@@ -893,7 +901,10 @@ impl SkyNode {
             let mut db = self.db.lock();
             let session = match session.as_mut() {
                 Some(s) => s,
-                None => session.insert(self.engine.begin_partial(&mut db, cfg, kind, columns)?),
+                None => {
+                    first_columns = Some(set.columns.clone());
+                    session.insert(self.engine.begin_partial(&mut db, cfg, kind, set.columns)?)
+                }
             };
             session.ingest(&mut db, pairs)?;
         }
@@ -914,18 +925,21 @@ impl SkyNode {
         net: &SimNetwork,
         plan: &ExecutionPlan,
         method: &'static str,
-        set: PartialSet,
+        set: &PartialSet,
         stats_chain: Option<&StatsChain>,
     ) -> Result<RpcResponse> {
         let limits = MessageLimits::tiny(plan.max_message_bytes);
-        let table = set.to_votable();
+        // The set is encoded exactly once: the reply is measured with the
+        // encoded table counted, not copied, and chunks are cut from it.
+        let table = Arc::new(set.encode());
         let with_stats = |resp: RpcResponse| match stats_chain {
             Some(c) => resp.result("stats", SoapValue::Xml(c.to_element())),
             None => resp,
         };
-        let monolithic =
-            with_stats(RpcResponse::new(method).result("partial", SoapValue::Table(table.clone())));
-        let encoded_len = monolithic.to_xml().len();
+        let monolithic = with_stats(
+            RpcResponse::new(method).result("partial", SoapValue::EncodedTable(table.clone())),
+        );
+        let encoded_len = monolithic.encoded_len();
         if encoded_len <= plan.max_message_bytes {
             return Ok(monolithic);
         }
@@ -966,6 +980,7 @@ impl SkyNode {
             let rows: Vec<usize> = chunks.iter().map(|(_, t)| t.row_count()).collect();
             (ChunkManifest::legacy(transfer_id, &rows), chunks)
         };
+        let chunks = chunks.into_iter().map(|(h, t)| (h, Arc::new(t))).collect();
         self.pending
             .lock()
             .insert(transfer_id, chunks, net.now_s(), plan.lease_ttl_s);
@@ -1002,7 +1017,7 @@ impl SkyNode {
             pending.remove(transfer_id);
         }
         Ok(RpcResponse::new("FetchChunk")
-            .result("chunk", SoapValue::Table(table))
+            .result("chunk", SoapValue::EncodedTable(table))
             .result("index", SoapValue::Int(header.index as i64))
             .result("total", SoapValue::Int(header.total as i64))
             .result("transfer_id", SoapValue::Int(header.transfer_id as i64)))

@@ -15,12 +15,15 @@
 //! the receiver restores that order, so chunk sizing, zone grouping, and
 //! arrival order are transport details that can never change the result.
 
+use std::sync::Arc;
+
 use skyquery_net::{HttpRequest, NetError, SimNetwork, Url};
 use skyquery_soap::{ChunkManifest, RpcCall, RpcResponse, SoapValue, ZoneRange};
-use skyquery_xml::VoTable;
+use skyquery_xml::{EncodedTable, VoTable};
 
 use crate::error::{FederationError, Result};
 use crate::plan::{ExecutionPlan, DEFAULT_ZONE_HEIGHT_DEG};
+use crate::result::ResultColumn;
 use crate::retry::RetryPolicy;
 use crate::trace::StatsChain;
 use crate::xmatch::{PartialSet, PartialTuple};
@@ -107,7 +110,7 @@ impl ChunkStream<'_> {
                 SoapValue::Int(self.manifest.transfer_id as i64),
             )
             .param("index", SoapValue::Int(index as i64));
-        let resp = send_rpc_with(self.net, &self.from_host, &self.url, &call, self.retry)?;
+        let mut resp = send_rpc_with(self.net, &self.from_host, &self.url, &call, self.retry)?;
         let served_index = require_usize(&resp, "index")?;
         let served_total = require_usize(&resp, "total")?;
         let served_id = require_usize(&resp, "transfer_id")? as u64;
@@ -122,21 +125,18 @@ impl ChunkStream<'_> {
                 self.manifest.transfer_id
             )));
         }
-        let table = resp
-            .require("chunk")?
-            .as_table()
-            .ok_or_else(|| FederationError::protocol("chunk must be a table"))?
-            .clone();
+        let table = take_table(&mut resp, "chunk")?;
+        // The chunk's encoded size is the span it occupied in the reply.
         self.net.record_chunk(
             &self.url.host,
             &self.from_host,
-            table.to_xml().len(),
+            table.wire_len().unwrap_or_default(),
             table.row_count(),
         );
         let info = &self.manifest.chunks[index];
         let (seqs, table) = if self.manifest.is_zoned() {
             let (seqs, payload) =
-                skyquery_soap::chunk::take_seq_column(&table).map_err(FederationError::Soap)?;
+                skyquery_soap::chunk::take_seq_column(table).map_err(FederationError::Soap)?;
             (Some(seqs), payload)
         } else {
             (None, table)
@@ -191,14 +191,20 @@ impl ChunkStream<'_> {
 
     /// Drains the stream and reassembles the sender's partial set in its
     /// original row order — the monolithic view for callers (such as the
-    /// Portal) that have no incremental ingest path.
+    /// Portal) that have no incremental ingest path. Every chunk must
+    /// declare the first chunk's columns; buffers grow with the rows that
+    /// actually arrive, never with the counts the manifest declares.
     pub fn collect_set(mut self) -> Result<PartialSet> {
         let mut columns = None;
-        let mut tuples: Vec<(u64, PartialTuple)> = Vec::with_capacity(self.manifest.total_rows);
+        let mut tuples: Vec<(u64, PartialTuple)> = Vec::new();
         let mut next_seq = 0u64;
         while let Some(chunk) = self.fetch_next()? {
-            let set = PartialSet::from_votable(&chunk.table)?;
-            columns.get_or_insert(set.columns);
+            let index = chunk.index;
+            let set = PartialSet::try_from(chunk.table)?;
+            match &columns {
+                None => columns = Some(set.columns),
+                Some(first) => check_chunk_schema(first, &set.columns, index)?,
+            }
             match chunk.seqs {
                 Some(seqs) => tuples.extend(seqs.into_iter().zip(set.tuples)),
                 None => {
@@ -239,6 +245,36 @@ impl Drop for ChunkStream<'_> {
             let _ = self.abort();
         }
     }
+}
+
+/// Fails unless chunk `index` declares the same (name, type) columns as
+/// the transfer's first chunk: a receiver never mixes tuple shapes.
+pub(crate) fn check_chunk_schema(
+    first: &[ResultColumn],
+    chunk: &[ResultColumn],
+    index: usize,
+) -> Result<()> {
+    if first == chunk {
+        return Ok(());
+    }
+    let names = |cols: &[ResultColumn]| -> Vec<String> {
+        cols.iter()
+            .map(|c| format!("{}:{}", c.name, c.dtype))
+            .collect()
+    };
+    Err(FederationError::protocol(format!(
+        "chunk {index} declares columns {:?}, but the transfer's first chunk declared {:?}",
+        names(chunk),
+        names(first)
+    )))
+}
+
+/// Takes the table result `name` out of a reply without copying it.
+fn take_table(resp: &mut RpcResponse, name: &str) -> Result<VoTable> {
+    resp.require(name)?;
+    resp.take(name)
+        .and_then(SoapValue::into_table)
+        .ok_or_else(|| FederationError::protocol(format!("{name} must be a table")))
 }
 
 /// Opens a client-side cursor over an already-announced chunked transfer:
@@ -294,7 +330,7 @@ pub fn open_cross_match<'a>(
             .as_xml()
             .ok_or_else(|| FederationError::protocol("stats must be xml"))?,
     )?;
-    let incoming = decode_partial(net, from_host, url, plan, &resp)?;
+    let incoming = decode_partial(net, from_host, url, plan, resp)?;
     Ok((incoming, stats))
 }
 
@@ -306,7 +342,7 @@ fn decode_partial<'a>(
     from_host: &str,
     url: &Url,
     plan: &ExecutionPlan,
-    resp: &RpcResponse,
+    mut resp: RpcResponse,
 ) -> Result<IncomingPartial<'a>> {
     if let Some(value) = resp.get("manifest") {
         let manifest_el = value
@@ -324,11 +360,8 @@ fn decode_partial<'a>(
         };
         return Ok(IncomingPartial::Chunked(stream));
     }
-    let table = resp
-        .require("partial")?
-        .as_table()
-        .ok_or_else(|| FederationError::protocol("partial must be a table"))?;
-    Ok(IncomingPartial::Inline(PartialSet::from_votable(table)?))
+    let table = take_table(&mut resp, "partial")?;
+    Ok(IncomingPartial::Inline(PartialSet::try_from(table)?))
 }
 
 /// Calls the `FetchCheckpoint` service at `url` for a checkpointed
@@ -347,7 +380,7 @@ pub fn open_checkpoint<'a>(
         .param("plan", SoapValue::Xml(plan.to_element()))
         .param("checkpoint_id", SoapValue::Int(checkpoint_id as i64));
     let resp = send_rpc_with(net, from_host, url, &call, plan.retry)?;
-    decode_partial(net, from_host, url, plan, &resp)
+    decode_partial(net, from_host, url, plan, resp)
 }
 
 /// Asks the node at `url` to extend the lease on one of its resources
@@ -419,13 +452,13 @@ pub fn invoke_scatter_step(
     url: &Url,
     plan: &ExecutionPlan,
     step: usize,
-    input: Option<&VoTable>,
+    input: Option<&Arc<EncodedTable>>,
 ) -> Result<(PartialSet, StatsChain)> {
     let mut call = RpcCall::new("ScatterStep")
         .param("plan", SoapValue::Xml(plan.to_element()))
         .param("step", SoapValue::Int(step as i64));
     if let Some(table) = input {
-        call = call.param("input", SoapValue::Table(table.clone()));
+        call = call.param("input", SoapValue::EncodedTable(table.clone()));
     }
     let resp = send_rpc_with(net, from_host, url, &call, plan.retry)?;
     let stats = StatsChain::from_element(
@@ -433,7 +466,7 @@ pub fn invoke_scatter_step(
             .as_xml()
             .ok_or_else(|| FederationError::protocol("stats must be xml"))?,
     )?;
-    match decode_partial(net, from_host, url, plan, &resp)? {
+    match decode_partial(net, from_host, url, plan, resp)? {
         IncomingPartial::Inline(set) => Ok((set, stats)),
         IncomingPartial::Chunked(stream) => Ok((stream.collect_set()?, stats)),
     }
@@ -455,14 +488,14 @@ pub fn invoke_delta_step(
     plan: &ExecutionPlan,
     step: usize,
     from_row: u64,
-    input: Option<&VoTable>,
+    input: Option<&Arc<EncodedTable>>,
 ) -> Result<(PartialSet, StatsChain, u64)> {
     let mut call = RpcCall::new("DeltaStep")
         .param("plan", SoapValue::Xml(plan.to_element()))
         .param("step", SoapValue::Int(step as i64))
         .param("from_row", SoapValue::Int(from_row as i64));
     if let Some(table) = input {
-        call = call.param("input", SoapValue::Table(table.clone()));
+        call = call.param("input", SoapValue::EncodedTable(table.clone()));
     }
     let resp = send_rpc_with(net, from_host, url, &call, plan.retry)?;
     let stats = StatsChain::from_element(
@@ -474,7 +507,7 @@ pub fn invoke_delta_step(
         resp.require("version")?
             .as_i64()
             .ok_or_else(|| FederationError::protocol("version must be an integer"))? as u64;
-    match decode_partial(net, from_host, url, plan, &resp)? {
+    match decode_partial(net, from_host, url, plan, resp)? {
         IncomingPartial::Inline(set) => Ok((set, stats, version)),
         IncomingPartial::Chunked(stream) => Ok((stream.collect_set()?, stats, version)),
     }

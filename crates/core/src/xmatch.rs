@@ -30,11 +30,13 @@ use skyquery_storage::{
     BatchScratch, ColumnDef, DataType, Database, PositionColumns, ProbeScratch, RangeSearchHit,
     Row, ScanOptions, Table, TableSchema, Value,
 };
-use skyquery_xml::VoTable;
+use skyquery_xml::{EncodedTable, VoCell, VoColumn, VoTable, VoType};
 
 use crate::error::{FederationError, Result};
 use crate::region::Region;
-use crate::result::{ResultColumn, ResultSet};
+use crate::result::{
+    cell_to_value, dtype_to_votype, encode_value, value_to_cell, votype_to_dtype, ResultColumn,
+};
 
 /// Multiplicative safety margin on the candidate search radius. Two
 /// effects make the bound inexact at f64: the spherical re-normalization
@@ -161,31 +163,21 @@ impl PartialSet {
 
     /// Wire encoding: four state columns then the carried columns.
     pub fn to_votable(&self) -> VoTable {
-        let mut rs = ResultSet::new(
-            STATE_COLS
-                .iter()
-                .map(|n| ResultColumn::new(*n, DataType::Float))
-                .chain(self.columns.iter().cloned())
-                .collect(),
-        );
-        for t in &self.tuples {
-            let mut row = vec![
-                Value::Float(t.state.a),
-                Value::Float(t.state.ax),
-                Value::Float(t.state.ay),
-                Value::Float(t.state.az),
-            ];
-            row.extend(t.values.iter().cloned());
-            rs.push_row(row).expect("state+values match columns");
-        }
-        rs.to_votable("partial")
+        VoTable::from(self.clone())
     }
 
     /// Decodes the wire encoding.
     pub fn from_votable(t: &VoTable) -> Result<PartialSet> {
-        let rs = ResultSet::from_votable(t)?;
-        if rs.columns.len() < 4
-            || rs.columns[..4]
+        PartialSet::decode(&t.columns, t.rows.iter().map(|r| r.iter().cloned()))
+    }
+
+    /// Decodes wire rows (state cells first) under `columns`.
+    fn decode<R>(columns: &[VoColumn], rows: impl ExactSizeIterator<Item = R>) -> Result<PartialSet>
+    where
+        R: ExactSizeIterator<Item = VoCell>,
+    {
+        if columns.len() < 4
+            || columns[..4]
                 .iter()
                 .zip(STATE_COLS)
                 .any(|(c, n)| c.name != n)
@@ -194,26 +186,102 @@ impl PartialSet {
                 "partial-result table missing __a/__ax/__ay/__az state columns",
             ));
         }
-        let columns = rs.columns[4..].to_vec();
-        let mut tuples = Vec::with_capacity(rs.rows.len());
-        for row in rs.rows {
-            let f = |v: &Value, name: &str| {
-                v.as_f64().ok_or_else(|| {
-                    FederationError::protocol(format!("state column {name} is not numeric"))
-                })
-            };
-            let state = TupleState {
-                a: f(&row[0], "__a")?,
-                ax: f(&row[1], "__ax")?,
-                ay: f(&row[2], "__ay")?,
-                az: f(&row[3], "__az")?,
-            };
+        let carried = columns[4..]
+            .iter()
+            .map(|c| ResultColumn::new(c.name.clone(), votype_to_dtype(c.vtype)))
+            .collect::<Vec<_>>();
+        let mut tuples = Vec::with_capacity(rows.len());
+        for mut cells in rows {
+            if cells.len() != columns.len() {
+                return Err(FederationError::protocol(format!(
+                    "result row arity {} != {} columns",
+                    cells.len(),
+                    columns.len()
+                )));
+            }
+            let mut state = [0.0; 4];
+            for (x, name) in state.iter_mut().zip(STATE_COLS) {
+                *x = match cells.next() {
+                    Some(VoCell::Float(v)) => v,
+                    Some(VoCell::Int(v)) => v as f64,
+                    Some(VoCell::Id(v)) => v as f64,
+                    _ => {
+                        return Err(FederationError::protocol(format!(
+                            "state column {name} is not numeric"
+                        )))
+                    }
+                };
+            }
+            let [a, ax, ay, az] = state;
             tuples.push(PartialTuple {
-                state,
-                values: row[4..].to_vec(),
+                state: TupleState { a, ax, ay, az },
+                values: cells.map(cell_to_value).collect(),
             });
         }
-        Ok(PartialSet { columns, tuples })
+        Ok(PartialSet {
+            columns: carried,
+            tuples,
+        })
+    }
+
+    fn wire_columns(&self) -> impl Iterator<Item = (&str, VoType)> {
+        STATE_COLS.iter().map(|n| (*n, VoType::Float)).chain(
+            self.columns
+                .iter()
+                .map(|c| (c.name.as_str(), dtype_to_votype(c.dtype))),
+        )
+    }
+
+    /// Encodes the wire table once, straight from the tuples: the form a
+    /// sender measures, ships, or cuts into chunks.
+    pub fn encode(&self) -> EncodedTable {
+        EncodedTable::build(PARTIAL_TABLE, self.wire_columns(), |enc| {
+            for t in &self.tuples {
+                enc.row();
+                for x in [t.state.a, t.state.ax, t.state.ay, t.state.az] {
+                    enc.float(x);
+                }
+                for v in &t.values {
+                    encode_value(enc, v);
+                }
+                enc.end_row();
+            }
+        })
+    }
+}
+
+/// Name of the table a partial set travels as.
+const PARTIAL_TABLE: &str = "partial";
+
+impl From<PartialSet> for VoTable {
+    fn from(set: PartialSet) -> VoTable {
+        let columns = set
+            .wire_columns()
+            .map(|(name, vtype)| VoColumn::new(name, vtype))
+            .collect();
+        let mut t = VoTable::new(PARTIAL_TABLE, columns);
+        t.rows = set
+            .tuples
+            .into_iter()
+            .map(|tuple| {
+                let s = tuple.state;
+                [s.a, s.ax, s.ay, s.az]
+                    .into_iter()
+                    .map(VoCell::Float)
+                    .chain(tuple.values.into_iter().map(value_to_cell))
+                    .collect()
+            })
+            .collect();
+        t
+    }
+}
+
+/// Decodes the wire encoding, moving the carried cells.
+impl TryFrom<VoTable> for PartialSet {
+    type Error = FederationError;
+
+    fn try_from(t: VoTable) -> Result<PartialSet> {
+        PartialSet::decode(&t.columns, t.rows.into_iter().map(Vec::into_iter))
     }
 }
 
@@ -924,6 +992,7 @@ pub fn decode_materialized(row: &Row) -> (TupleState, &[Value]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::result::ResultSet;
     use skyquery_sql::parse_expr;
     use skyquery_storage::BufferCache;
 

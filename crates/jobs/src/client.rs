@@ -151,7 +151,7 @@ impl JobClient {
             tables.push(chunk.table);
         }
         let table = VoTable::concat(tables)?;
-        ResultSet::from_votable(&table).map(stamp)
+        ResultSet::try_from(table).map(stamp)
     }
 }
 

@@ -34,7 +34,7 @@ use skyquery_net::{Endpoint, HttpRequest, HttpResponse, SimNetwork, Url};
 use skyquery_soap::{
     ChunkHeader, ChunkManifest, MessageLimits, Operation, RpcCall, RpcResponse, SoapValue,
 };
-use skyquery_xml::VoTable;
+use skyquery_xml::EncodedTable;
 
 use crate::admission::{FairScheduler, JobServiceConfig};
 use crate::job::{JobState, JobStatus, QuotaClass};
@@ -172,8 +172,12 @@ struct ServiceState {
     /// Terminal job records awaiting their record TTL, keyed by job id.
     records: LeaseTable<u64>,
     /// Open result transfers: (owning job id, remaining chunks).
-    transfers: LeaseTable<(u64, Vec<(ChunkHeader, VoTable)>)>,
+    transfers: LeaseTable<(u64, PageChunks)>,
 }
+
+/// The encoded chunks of one paginated result, shared with the replies
+/// that serve them.
+type PageChunks = Vec<(ChunkHeader, Arc<EncodedTable>)>;
 
 /// The multi-tenant asynchronous job service.
 pub struct JobService {
@@ -990,16 +994,14 @@ impl JobService {
                 host: self.host.clone(),
             });
         }
-        let table = st
-            .results
-            .get(id)
-            .expect("renewed above")
-            .to_votable("result");
+        // The page source is encoded once: measured in place, and cut
+        // into chunks from that same encoding when it does not fit.
+        let table = Arc::new(st.results.get(id).expect("renewed above").encode("result"));
         let monolithic = RpcResponse::new("FetchResults")
-            .result("result", SoapValue::Table(table.clone()))
+            .result("result", SoapValue::EncodedTable(table.clone()))
             .result("degraded", SoapValue::Bool(degraded))
             .result("dropped", SoapValue::Str(dropped.clone()));
-        if monolithic.to_xml().len() <= max_bytes {
+        if monolithic.encoded_len() <= max_bytes {
             return Ok(monolithic);
         }
         let transfer_id = self.next_transfer.fetch_add(1, Ordering::Relaxed);
@@ -1008,6 +1010,7 @@ impl JobService {
                 .map_err(FederationError::Soap)?;
         let rows: Vec<usize> = chunks.iter().map(|(_, t)| t.row_count()).collect();
         let manifest = ChunkManifest::legacy(transfer_id, &rows);
+        let chunks = chunks.into_iter().map(|(h, t)| (h, Arc::new(t))).collect();
         st.transfers
             .insert(transfer_id, (id, chunks), now, config.result_ttl_s);
         self.net.record_node_event(&self.host, "lease-granted");
@@ -1040,7 +1043,7 @@ impl JobService {
             st.transfers.remove(transfer_id);
         }
         Ok(RpcResponse::new("FetchChunk")
-            .result("chunk", SoapValue::Table(table))
+            .result("chunk", SoapValue::EncodedTable(table))
             .result("index", SoapValue::Int(header.index as i64))
             .result("total", SoapValue::Int(header.total as i64))
             .result("transfer_id", SoapValue::Int(header.transfer_id as i64)))

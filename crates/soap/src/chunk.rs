@@ -9,8 +9,12 @@
 //! the limit, tagging each with a [`ChunkHeader`]; receivers feed chunks
 //! to a [`Reassembler`], which verifies sequence completeness and schema
 //! consistency before yielding the whole table.
+//!
+//! Splitting works on an [`EncodedTable`]: chunk sizes are sums of the
+//! rows' encoded lengths, and each chunk is cut from that one encoding,
+//! so a table is formatted once however many chunks it ships as.
 
-use skyquery_xml::{Element, VoColumn, VoTable, VoType};
+use skyquery_xml::{Element, EncodedTable, VoCell, VoTable};
 
 use crate::SoapError;
 
@@ -171,6 +175,7 @@ impl ChunkManifest {
             None => None,
         };
         let mut chunks = Vec::new();
+        let mut sum = 0usize;
         for ce in e.children_named("Chunk") {
             let rows = ce
                 .attr("rows")
@@ -189,6 +194,9 @@ impl ChunkManifest {
                 }),
                 _ => None,
             };
+            sum = sum.checked_add(rows).ok_or_else(|| SoapError::Protocol {
+                detail: "ChunkManifest chunk row counts overflow".into(),
+            })?;
             chunks.push(ChunkInfo { rows, zones });
         }
         if chunks.is_empty() {
@@ -196,7 +204,7 @@ impl ChunkManifest {
                 detail: "ChunkManifest has no chunks".into(),
             });
         }
-        if chunks.iter().map(|c| c.rows).sum::<usize>() != total_rows {
+        if sum != total_rows {
             return Err(SoapError::Protocol {
                 detail: "ChunkManifest row counts do not sum to total_rows".into(),
             });
@@ -210,85 +218,90 @@ impl ChunkManifest {
     }
 }
 
-/// Splits a table into chunks whose *encoded* size stays under the limit.
+/// Splits an encoded table into chunks whose encoded size stays under
+/// the limit.
 ///
-/// The row budget is estimated from the actual encoded size of the full
-/// table and then verified per chunk; if a pathological row still exceeds
-/// the limit on its own, an error is returned (there is no way to ship it
+/// The row budget is estimated from the average encoded row size and
+/// then verified per chunk; if a pathological row still exceeds the
+/// limit on its own, an error is returned (there is no way to ship it
 /// through the 2002 parser).
 pub fn split_table(
-    table: &VoTable,
+    table: &EncodedTable,
     limits: MessageLimits,
     transfer_id: u64,
-) -> Result<Vec<(ChunkHeader, VoTable)>, SoapError> {
+) -> Result<Vec<(ChunkHeader, EncodedTable)>, SoapError> {
     // Fast path: already small enough.
-    let full_len = table.to_xml().len();
-    if full_len <= limits.max_message_bytes {
-        return Ok(vec![(
-            ChunkHeader {
-                index: 0,
-                total: 1,
-                transfer_id,
-            },
-            table.clone(),
-        )]);
+    if table.len() <= limits.max_message_bytes {
+        return Ok(with_headers(vec![table.clone()], transfer_id));
     }
-    if table.row_count() == 0 {
-        // An empty table that still exceeds the limit means the schema
-        // alone is too large — nothing to chunk.
+    let all: Vec<usize> = (0..table.row_count()).collect();
+    let mut rows_per_chunk =
+        initial_rows_per_chunk(table.len(), table.chunk_len(&[], None), limits, all.len())?;
+    loop {
+        let groups: Vec<&[usize]> = all.chunks(rows_per_chunk).collect();
+        // Verify every chunk admits; shrink and retry otherwise.
+        if groups
+            .iter()
+            .all(|g| table.chunk_len(g, None) <= limits.max_message_bytes)
+        {
+            let chunks = groups.iter().map(|g| table.chunk(g, None)).collect();
+            return Ok(with_headers(chunks, transfer_id));
+        }
+        rows_per_chunk = shrink(rows_per_chunk)?;
+    }
+}
+
+/// The first row budget to try: the average encoded row size against
+/// the space the limit leaves after the table's header, with headroom.
+/// An empty table over the limit means the schema alone is too large —
+/// nothing to chunk.
+fn initial_rows_per_chunk(
+    full_len: usize,
+    header_len: usize,
+    limits: MessageLimits,
+    rows: usize,
+) -> Result<usize, SoapError> {
+    if rows == 0 {
         return Err(SoapError::MessageTooLarge {
             size: full_len,
             limit: limits.max_message_bytes,
         });
     }
-    // Estimate rows per chunk from average encoded row size, with headroom.
-    let header_len = {
-        let empty = VoTable::new(table.name.clone(), table.columns.clone());
-        empty.to_xml().len()
-    };
-    let avg_row = (full_len - header_len).max(1) as f64 / table.row_count() as f64;
+    let avg_row = (full_len - header_len).max(1) as f64 / rows as f64;
     let budget = limits.max_message_bytes.saturating_sub(header_len);
-    let mut rows_per_chunk = ((budget as f64 / avg_row) * 0.9) as usize;
-    rows_per_chunk = rows_per_chunk.max(1);
-
-    loop {
-        let tables = table.chunk_rows(rows_per_chunk);
-        // Verify every chunk admits; shrink and retry otherwise.
-        let mut ok = true;
-        for t in &tables {
-            if t.to_xml().len() > limits.max_message_bytes {
-                ok = false;
-                break;
-            }
-        }
-        if ok {
-            let total = tables.len();
-            return Ok(tables
-                .into_iter()
-                .enumerate()
-                .map(|(index, t)| {
-                    (
-                        ChunkHeader {
-                            index,
-                            total,
-                            transfer_id,
-                        },
-                        t,
-                    )
-                })
-                .collect());
-        }
-        if rows_per_chunk == 1 {
-            // A single row exceeds the parser limit.
-            return Err(SoapError::Chunking {
-                detail: "a single row exceeds the message size limit".into(),
-            });
-        }
-        rows_per_chunk /= 2;
-    }
+    Ok((((budget as f64 / avg_row) * 0.9) as usize).max(1))
 }
 
-/// Splits a table into zone-aligned chunks under the byte limit.
+/// Halves a row budget after a chunk failed to admit.
+fn shrink(rows_per_chunk: usize) -> Result<usize, SoapError> {
+    if rows_per_chunk == 1 {
+        // A single row exceeds the parser limit.
+        return Err(SoapError::Chunking {
+            detail: "a single row exceeds the message size limit".into(),
+        });
+    }
+    Ok(rows_per_chunk / 2)
+}
+
+fn with_headers(chunks: Vec<EncodedTable>, transfer_id: u64) -> Vec<(ChunkHeader, EncodedTable)> {
+    let total = chunks.len();
+    chunks
+        .into_iter()
+        .enumerate()
+        .map(|(index, t)| {
+            (
+                ChunkHeader {
+                    index,
+                    total,
+                    transfer_id,
+                },
+                t,
+            )
+        })
+        .collect()
+}
+
+/// Splits an encoded table into zone-aligned chunks under the byte limit.
 ///
 /// `zones[i]` is the declination-zone label of row `i` (computed by the
 /// caller from each tuple's maximum-likelihood position). Rows are
@@ -301,12 +314,12 @@ pub fn split_table(
 /// Returns the [`ChunkManifest`] (with per-chunk [`ZoneRange`]s) and the
 /// chunk tables in fetch order.
 pub fn split_table_zoned(
-    table: &VoTable,
+    table: &EncodedTable,
     limits: MessageLimits,
     transfer_id: u64,
     zones: &[u32],
     zone_height_deg: f64,
-) -> Result<(ChunkManifest, Vec<(ChunkHeader, VoTable)>), SoapError> {
+) -> Result<(ChunkManifest, Vec<(ChunkHeader, EncodedTable)>), SoapError> {
     if zones.len() != table.row_count() {
         return Err(SoapError::Chunking {
             detail: format!(
@@ -320,22 +333,8 @@ pub fn split_table_zoned(
     let mut order: Vec<usize> = (0..table.row_count()).collect();
     order.sort_by_key(|&i| zones[i]);
 
-    let mut columns = vec![VoColumn::new(SEQ_COLUMN, VoType::Id)];
-    columns.extend(table.columns.iter().cloned());
-    let make_chunk = |idxs: &[usize]| -> VoTable {
-        let mut t = VoTable::new(table.name.clone(), columns.clone());
-        for &i in idxs {
-            let mut row = Vec::with_capacity(columns.len());
-            row.push(Some(i.to_string()));
-            row.extend(table.rows[i].iter().cloned());
-            t.push_row(row).expect("augmented row matches columns");
-        }
-        t
-    };
-    let finish = |tables: Vec<VoTable>,
-                  groups: Vec<Vec<usize>>|
-     -> (ChunkManifest, Vec<(ChunkHeader, VoTable)>) {
-        let total = tables.len();
+    let chunk_len = |idxs: &[usize]| table.chunk_len(idxs, Some(SEQ_COLUMN));
+    let finish = |groups: Vec<Vec<usize>>| -> (ChunkManifest, Vec<(ChunkHeader, EncodedTable)>) {
         let manifest = ChunkManifest {
             transfer_id,
             total_rows: table.row_count(),
@@ -354,46 +353,23 @@ pub fn split_table_zoned(
                 })
                 .collect(),
         };
-        let chunks = tables
-            .into_iter()
-            .enumerate()
-            .map(|(index, t)| {
-                (
-                    ChunkHeader {
-                        index,
-                        total,
-                        transfer_id,
-                    },
-                    t,
-                )
-            })
+        let chunks = groups
+            .iter()
+            .map(|idxs| table.chunk(idxs, Some(SEQ_COLUMN)))
             .collect();
-        (manifest, chunks)
+        (manifest, with_headers(chunks, transfer_id))
     };
 
     // Fast path: the whole (seq-augmented) table fits in one chunk.
-    let full = make_chunk(&order);
-    let full_len = full.to_xml().len();
+    let full_len = chunk_len(&order);
     if full_len <= limits.max_message_bytes {
-        return Ok(finish(vec![full], vec![order]));
-    }
-    if table.row_count() == 0 {
-        return Err(SoapError::MessageTooLarge {
-            size: full_len,
-            limit: limits.max_message_bytes,
-        });
+        return Ok(finish(vec![order]));
     }
 
     // Estimate a row budget from average encoded row size, then pack
     // whole zone groups and verify actual chunk sizes, shrinking on
     // failure exactly like `split_table`.
-    let header_len = VoTable::new(table.name.clone(), columns.clone())
-        .to_xml()
-        .len();
-    let avg_row = (full_len - header_len).max(1) as f64 / table.row_count() as f64;
-    let budget = limits.max_message_bytes.saturating_sub(header_len);
-    let mut rows_per_chunk = (((budget as f64 / avg_row) * 0.9) as usize).max(1);
-
+    let mut rows_per_chunk = initial_rows_per_chunk(full_len, chunk_len(&[]), limits, order.len())?;
     loop {
         let mut groups: Vec<Vec<usize>> = Vec::new();
         let mut current: Vec<usize> = Vec::new();
@@ -425,26 +401,20 @@ pub fn split_table_zoned(
         if !current.is_empty() {
             groups.push(current);
         }
-
-        let tables: Vec<VoTable> = groups.iter().map(|idxs| make_chunk(idxs)).collect();
-        if tables
+        if groups
             .iter()
-            .all(|t| t.to_xml().len() <= limits.max_message_bytes)
+            .all(|g| chunk_len(g) <= limits.max_message_bytes)
         {
-            return Ok(finish(tables, groups));
+            return Ok(finish(groups));
         }
-        if rows_per_chunk == 1 {
-            return Err(SoapError::Chunking {
-                detail: "a single row exceeds the message size limit".into(),
-            });
-        }
-        rows_per_chunk /= 2;
+        rows_per_chunk = shrink(rows_per_chunk)?;
     }
 }
 
 /// Splits a zone-aware chunk into its original-row indices and the
-/// payload table with the [`SEQ_COLUMN`] removed.
-pub fn take_seq_column(table: &VoTable) -> Result<(Vec<u64>, VoTable), SoapError> {
+/// payload table with the [`SEQ_COLUMN`] removed (cells are moved, not
+/// copied).
+pub fn take_seq_column(mut table: VoTable) -> Result<(Vec<u64>, VoTable), SoapError> {
     let first = table.columns.first();
     if first.map(|c| c.name.as_str()) != Some(SEQ_COLUMN) {
         return Err(SoapError::Chunking {
@@ -454,20 +424,22 @@ pub fn take_seq_column(table: &VoTable) -> Result<(Vec<u64>, VoTable), SoapError
             ),
         });
     }
-    let mut seqs = Vec::with_capacity(table.row_count());
-    let mut out = VoTable::new(table.name.clone(), table.columns[1..].to_vec());
-    for row in &table.rows {
-        let seq = row
-            .first()
-            .and_then(|c| c.as_deref())
-            .and_then(|s| s.parse::<u64>().ok())
-            .ok_or_else(|| SoapError::Chunking {
-                detail: format!("chunk row has a malformed {SEQ_COLUMN} cell"),
-            })?;
-        seqs.push(seq);
-        out.push_row(row[1..].to_vec()).map_err(SoapError::Xml)?;
+    let mut payload = VoTable::new(std::mem::take(&mut table.name), table.columns.split_off(1));
+    let mut seqs = Vec::with_capacity(table.rows.len());
+    payload.rows.reserve(table.rows.len());
+    for mut row in table.rows {
+        match row.first() {
+            Some(VoCell::Id(seq)) => seqs.push(*seq),
+            _ => {
+                return Err(SoapError::Chunking {
+                    detail: format!("chunk row has a malformed {SEQ_COLUMN} cell"),
+                })
+            }
+        }
+        row.remove(0);
+        payload.rows.push(row);
     }
-    Ok((seqs, out))
+    Ok((seqs, payload))
 }
 
 /// Reassembles chunks into the original table.
@@ -547,6 +519,10 @@ impl Reassembler {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn decode(t: &EncodedTable) -> VoTable {
+        VoTable::parse(t.as_str()).unwrap()
+    }
     use skyquery_xml::{VoColumn, VoType};
 
     fn big_table(rows: usize) -> VoTable {
@@ -570,20 +546,20 @@ mod tests {
     #[test]
     fn small_table_single_chunk() {
         let t = big_table(3);
-        let chunks = split_table(&t, MessageLimits::paper_2002(), 1).unwrap();
+        let chunks = split_table(&t.encode(), MessageLimits::paper_2002(), 1).unwrap();
         assert_eq!(chunks.len(), 1);
         assert_eq!(chunks[0].0.total, 1);
-        assert_eq!(chunks[0].1, t);
+        assert_eq!(decode(&chunks[0].1), t);
     }
 
     #[test]
     fn large_table_chunks_under_limit_and_reassembles() {
         let t = big_table(200);
         let limits = MessageLimits::tiny(2000);
-        let chunks = split_table(&t, limits, 42).unwrap();
+        let chunks = split_table(&t.encode(), limits, 42).unwrap();
         assert!(chunks.len() > 1, "expected multiple chunks");
         for (_, c) in &chunks {
-            assert!(c.to_xml().len() <= limits.max_message_bytes);
+            assert!(c.len() <= limits.max_message_bytes);
         }
         let mut r = Reassembler::new(chunks[0].0);
         // Deliver out of order.
@@ -591,7 +567,7 @@ mod tests {
         order.reverse();
         let mut complete = false;
         for i in order {
-            complete = r.accept(chunks[i].0, chunks[i].1.clone()).unwrap();
+            complete = r.accept(chunks[i].0, decode(&chunks[i].1)).unwrap();
         }
         assert!(complete);
         assert_eq!(r.finish().unwrap(), t);
@@ -609,26 +585,26 @@ mod tests {
     fn single_giant_row_cannot_ship() {
         let mut t = VoTable::new("x", vec![VoColumn::new("blob", VoType::Text)]);
         t.push_row(vec![Some("y".repeat(5000))]).unwrap();
-        let err = split_table(&t, MessageLimits::tiny(1000), 0).unwrap_err();
+        let err = split_table(&t.encode(), MessageLimits::tiny(1000), 0).unwrap_err();
         assert!(matches!(err, SoapError::Chunking { .. }));
     }
 
     #[test]
     fn reassembler_rejects_duplicates_and_mixups() {
         let t = big_table(100);
-        let chunks = split_table(&t, MessageLimits::tiny(2000), 7).unwrap();
+        let chunks = split_table(&t.encode(), MessageLimits::tiny(2000), 7).unwrap();
         let mut r = Reassembler::new(chunks[0].0);
-        r.accept(chunks[0].0, chunks[0].1.clone()).unwrap();
+        r.accept(chunks[0].0, decode(&chunks[0].1)).unwrap();
         // Duplicate.
-        assert!(r.accept(chunks[0].0, chunks[0].1.clone()).is_err());
+        assert!(r.accept(chunks[0].0, decode(&chunks[0].1)).is_err());
         // Wrong transfer id.
         let mut alien = chunks[1].0;
         alien.transfer_id = 99;
-        assert!(r.accept(alien, chunks[1].1.clone()).is_err());
+        assert!(r.accept(alien, decode(&chunks[1].1)).is_err());
         // Wrong declared total.
         let mut liar = chunks[1].0;
         liar.total += 1;
-        assert!(r.accept(liar, chunks[1].1.clone()).is_err());
+        assert!(r.accept(liar, decode(&chunks[1].1)).is_err());
         // Premature finish.
         assert!(!r.is_complete());
         assert!(r.finish().is_err());
@@ -689,25 +665,41 @@ mod tests {
     }
 
     #[test]
+    fn manifest_row_counts_that_overflow_are_a_protocol_error() {
+        use skyquery_xml::Element;
+        let huge = usize::MAX.to_string();
+        let e = Element::new("ChunkManifest")
+            .with_attr("transfer_id", "1")
+            .with_attr("total_rows", "5")
+            .with_child(Element::new("Chunk").with_attr("rows", huge.clone()))
+            .with_child(Element::new("Chunk").with_attr("rows", huge));
+        let err = ChunkManifest::from_element(&e).unwrap_err();
+        assert!(
+            matches!(&err, SoapError::Protocol { detail } if detail.contains("overflow")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn zoned_split_respects_zone_boundaries_and_restores_order() {
         let t = big_table(200);
         let zones = zone_labels(200, 9);
         let limits = MessageLimits::tiny(2500);
-        let (manifest, chunks) = split_table_zoned(&t, limits, 5, &zones, 0.1).unwrap();
+        let (manifest, chunks) = split_table_zoned(&t.encode(), limits, 5, &zones, 0.1).unwrap();
         assert!(chunks.len() > 1, "expected multiple chunks");
         assert_eq!(manifest.total_chunks(), chunks.len());
         assert_eq!(manifest.total_rows, 200);
         assert!(manifest.is_zoned());
 
-        let mut rows_by_seq: Vec<Option<Vec<Option<String>>>> = vec![None; 200];
+        let mut rows_by_seq: Vec<Option<Vec<VoCell>>> = vec![None; 200];
         let mut prev_hi: Option<u32> = None;
         for ((header, chunk), info) in chunks.iter().zip(&manifest.chunks) {
             // Every chunk admits.
-            assert!(chunk.to_xml().len() <= limits.max_message_bytes);
+            assert!(chunk.len() <= limits.max_message_bytes);
             assert_eq!(header.total, chunks.len());
             assert_eq!(header.transfer_id, 5);
             assert_eq!(chunk.row_count(), info.rows);
-            let (seqs, payload) = take_seq_column(chunk).unwrap();
+            let (seqs, payload) = take_seq_column(decode(chunk)).unwrap();
             assert_eq!(payload.columns, t.columns);
             let z = info.zones.unwrap();
             for (seq, row) in seqs.iter().zip(&payload.rows) {
@@ -726,8 +718,7 @@ mod tests {
         }
         // The union of sequence numbers is exactly 0..200, and replaying
         // rows by seq restores the original table byte for byte.
-        let restored: Vec<Vec<Option<String>>> =
-            rows_by_seq.into_iter().map(|r| r.unwrap()).collect();
+        let restored: Vec<Vec<VoCell>> = rows_by_seq.into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(restored, t.rows);
     }
 
@@ -735,9 +726,10 @@ mod tests {
     fn zoned_split_small_table_single_chunk() {
         let t = big_table(3);
         let (manifest, chunks) =
-            split_table_zoned(&t, MessageLimits::paper_2002(), 1, &[2, 0, 1], 0.1).unwrap();
+            split_table_zoned(&t.encode(), MessageLimits::paper_2002(), 1, &[2, 0, 1], 0.1)
+                .unwrap();
         assert_eq!(chunks.len(), 1);
-        let (seqs, payload) = take_seq_column(&chunks[0].1).unwrap();
+        let (seqs, payload) = take_seq_column(decode(&chunks[0].1)).unwrap();
         // Rows come zone-sorted: zones 0, 1, 2 are original rows 1, 2, 0.
         assert_eq!(seqs, vec![1, 2, 0]);
         assert_eq!(payload.rows[0], t.rows[1]);
@@ -749,10 +741,11 @@ mod tests {
         // All 200 rows in one zone: chunks must cut mid-zone but still fit.
         let t = big_table(200);
         let limits = MessageLimits::tiny(2500);
-        let (manifest, chunks) = split_table_zoned(&t, limits, 2, &vec![7; 200], 0.1).unwrap();
+        let (manifest, chunks) =
+            split_table_zoned(&t.encode(), limits, 2, &vec![7; 200], 0.1).unwrap();
         assert!(chunks.len() > 1);
         for (_, c) in &chunks {
-            assert!(c.to_xml().len() <= limits.max_message_bytes);
+            assert!(c.len() <= limits.max_message_bytes);
         }
         for info in &manifest.chunks {
             assert_eq!(info.zones, Some(ZoneRange { lo: 7, hi: 7 }));
@@ -764,14 +757,14 @@ mod tests {
         let t = big_table(10);
         // Label count mismatch.
         assert!(matches!(
-            split_table_zoned(&t, MessageLimits::paper_2002(), 0, &[1, 2], 0.1),
+            split_table_zoned(&t.encode(), MessageLimits::paper_2002(), 0, &[1, 2], 0.1),
             Err(SoapError::Chunking { .. })
         ));
         // Single giant row cannot ship.
         let mut giant = VoTable::new("x", vec![VoColumn::new("blob", VoType::Text)]);
         giant.push_row(vec![Some("y".repeat(5000))]).unwrap();
         assert!(matches!(
-            split_table_zoned(&giant, MessageLimits::tiny(1000), 0, &[0], 0.1),
+            split_table_zoned(&giant.encode(), MessageLimits::tiny(1000), 0, &[0], 0.1),
             Err(SoapError::Chunking { .. })
         ));
     }
@@ -779,16 +772,16 @@ mod tests {
     #[test]
     fn take_seq_column_rejects_plain_chunks() {
         let t = big_table(5);
-        assert!(take_seq_column(&t).is_err());
+        assert!(take_seq_column(t).is_err());
     }
 
     #[test]
     fn empty_table_roundtrip() {
         let t = VoTable::new("empty", vec![VoColumn::new("id", VoType::Id)]);
-        let chunks = split_table(&t, MessageLimits::paper_2002(), 0).unwrap();
+        let chunks = split_table(&t.encode(), MessageLimits::paper_2002(), 0).unwrap();
         assert_eq!(chunks.len(), 1);
         let mut r = Reassembler::new(chunks[0].0);
-        assert!(r.accept(chunks[0].0, chunks[0].1.clone()).unwrap());
+        assert!(r.accept(chunks[0].0, decode(&chunks[0].1)).unwrap());
         assert_eq!(r.finish().unwrap().row_count(), 0);
     }
 }

@@ -1,6 +1,14 @@
 //! SOAP 1.1 envelope encoding and decoding.
+//!
+//! Both directions stream. `write_envelope` writes the envelope tags
+//! around a body the caller writes into the same [`XmlWriter`];
+//! `read_envelope` checks the envelope while walking reader events and
+//! hands the body's payload element to the caller, so an RPC message is
+//! decoded without building a tree of it. [`Envelope`] is the typed view
+//! that keeps header and payload as element trees.
 
-use skyquery_xml::Element;
+use skyquery_xml::dom::local_matches;
+use skyquery_xml::{Attributes, Element, Event, XmlError, XmlReader, XmlWriter};
 
 use crate::{SoapError, SOAP_ENV_NS};
 
@@ -27,60 +35,132 @@ impl Envelope {
 
     /// Serializes to the on-the-wire XML document.
     pub fn to_xml(&self) -> String {
-        let mut env = Element::new("soap:Envelope").with_attr("xmlns:soap", SOAP_ENV_NS);
-        if let Some(h) = &self.header {
-            env = env.with_child(Element::new("soap:Header").with_child(h.clone()));
-        }
-        env = env.with_child(Element::new("soap:Body").with_child(self.body.clone()));
-        env.to_xml()
+        let mut w = XmlWriter::new();
+        write_envelope(&mut w, self.header.as_ref(), |w| self.body.write_to(w));
+        w.finish().expect("envelopes are balanced by construction")
     }
 
     /// Parses and validates a wire document.
     pub fn parse(xml: &str) -> Result<Envelope, SoapError> {
-        let root = Element::parse(xml)?;
-        if !name_is(&root.name, "Envelope") {
-            return Err(SoapError::Protocol {
-                detail: format!("root element is {}, not Envelope", root.name),
-            });
-        }
-        // The namespace declaration must be present and correct.
-        let ns_ok = root
-            .attributes
-            .iter()
-            .any(|(k, v)| (k == "xmlns" || k.starts_with("xmlns:")) && v == SOAP_ENV_NS);
-        if !ns_ok {
-            return Err(SoapError::Protocol {
-                detail: "missing SOAP envelope namespace".into(),
-            });
-        }
-        let header = root
-            .child("Header")
-            .and_then(|h| h.children.first())
-            .cloned();
-        let body_el = root.child("Body").ok_or_else(|| SoapError::Protocol {
-            detail: "envelope has no Body".into(),
-        })?;
-        let body = body_el
-            .children
-            .first()
-            .cloned()
-            .ok_or_else(|| SoapError::Protocol {
-                detail: "Body is empty".into(),
-            })?;
-        if body_el.children.len() > 1 {
-            return Err(SoapError::Protocol {
-                detail: "Body carries more than one payload element".into(),
-            });
-        }
+        let mut header = None;
+        let body = read_envelope(
+            xml,
+            |r, name, attrs| {
+                header = Some(Element::read_from(r, name, attrs)?);
+                Ok(())
+            },
+            |r, name, attrs| Ok(Element::read_from(r, name, attrs)?),
+        )?;
         Ok(Envelope { header, body })
     }
 }
 
-fn name_is(actual: &str, wanted: &str) -> bool {
-    actual == wanted
-        || actual
-            .rsplit_once(':')
-            .is_some_and(|(_, local)| local == wanted)
+/// Writes `<soap:Envelope>` (with `header`, if any) around the body
+/// payload `body` writes.
+pub(crate) fn write_envelope(
+    w: &mut XmlWriter,
+    header: Option<&Element>,
+    body: impl FnOnce(&mut XmlWriter),
+) {
+    w.open("soap:Envelope").attr("xmlns:soap", SOAP_ENV_NS);
+    if let Some(h) = header {
+        w.open("soap:Header");
+        h.write_to(w);
+        w.close().expect("header opened above");
+    }
+    w.open("soap:Body");
+    body(w);
+    w.close().expect("body opened above");
+    w.close().expect("envelope opened above");
+}
+
+/// Walks a wire document: the root must be a SOAP `Envelope` declaring
+/// the envelope namespace, and its (first) `Body` must hold exactly one
+/// element. `header` is handed the first element of the first `Header`;
+/// `payload` is handed the body element's start tag and must read through
+/// its end tag. Other envelope children are skipped, and the document
+/// must end after the envelope.
+pub(crate) fn read_envelope<'a, T>(
+    xml: &'a str,
+    mut header: impl FnMut(&mut XmlReader<'a>, &'a str, Attributes<'a>) -> Result<(), SoapError>,
+    payload: impl FnOnce(&mut XmlReader<'a>, &'a str, Attributes<'a>) -> Result<T, SoapError>,
+) -> Result<T, SoapError> {
+    let mut r = XmlReader::new(xml);
+    let attrs = loop {
+        match r.read_event()? {
+            Event::Start { name, attrs } if local_matches(name, "Envelope") => break attrs,
+            Event::Start { name, .. } => {
+                return Err(SoapError::Protocol {
+                    detail: format!("root element is {name}, not Envelope"),
+                })
+            }
+            Event::Eof => {
+                return Err(SoapError::Xml(XmlError::UnexpectedEof {
+                    context: "document has no root element".into(),
+                }))
+            }
+            _ => {}
+        }
+    };
+    // The namespace declaration must be present and correct.
+    let ns_ok = attrs
+        .iter()
+        .any(|(k, v)| (k == "xmlns" || k.starts_with("xmlns:")) && v == SOAP_ENV_NS);
+    if !ns_ok {
+        return Err(SoapError::Protocol {
+            detail: "missing SOAP envelope namespace".into(),
+        });
+    }
+    let mut payload = Some(payload);
+    let mut body = None;
+    let mut header_seen = false;
+    while let Some(event) = r.next_in_element()? {
+        match event {
+            Event::Start { name, .. } if body.is_none() && local_matches(name, "Body") => {
+                let mut value = None;
+                while let Some(event) = r.next_in_element()? {
+                    if let Event::Start { name, attrs } = event {
+                        let Some(read) = payload.take() else {
+                            return Err(SoapError::Protocol {
+                                detail: "Body carries more than one payload element".into(),
+                            });
+                        };
+                        value = Some(read(&mut r, name, attrs)?);
+                    }
+                }
+                body = Some(value.ok_or_else(|| SoapError::Protocol {
+                    detail: "Body is empty".into(),
+                })?);
+            }
+            Event::Start { name, .. } if !header_seen && local_matches(name, "Header") => {
+                header_seen = true;
+                let mut first = true;
+                while let Some(event) = r.next_in_element()? {
+                    match event {
+                        Event::Start { name, attrs } if first => {
+                            first = false;
+                            header(&mut r, name, attrs)?;
+                        }
+                        Event::Start { .. } => r.skip_element()?,
+                        _ => {}
+                    }
+                }
+            }
+            Event::Start { .. } => r.skip_element()?,
+            _ => {}
+        }
+    }
+    r.finish()?;
+    body.ok_or_else(|| SoapError::Protocol {
+        detail: "envelope has no Body".into(),
+    })
+}
+
+/// The local part of a possibly prefixed element name.
+pub(crate) fn local_name(name: &str) -> &str {
+    name.rsplit_once(':')
+        .map(|(_, local)| local)
+        .unwrap_or(name)
 }
 
 #[cfg(test)]

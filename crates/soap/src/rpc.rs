@@ -5,10 +5,19 @@
 //! child element with an `xsi:type`-like `sq:type` attribute. Result
 //! tables ride as embedded VOTable elements — "the SkyNode returns this
 //! result, as a serialized XML encoded SOAP message" (§5.3).
+//!
+//! Both directions are one streaming pass: `to_xml` writes the envelope,
+//! the parameters and any table into one [`XmlWriter`], and `parse` walks
+//! reader events, decoding table cells straight into typed values. Only
+//! `xml` parameters (plans, statistics, manifests) become element trees.
 
-use skyquery_xml::{Element, VoTable};
+use std::sync::Arc;
 
-use crate::envelope::Envelope;
+use skyquery_xml::{
+    Attributes, Element, EncodedTable, Event, VoTable, XmlError, XmlReader, XmlWriter,
+};
+
+use crate::envelope::{local_name, read_envelope, write_envelope};
 use crate::{SoapError, SKYQUERY_NS};
 
 /// A typed RPC parameter or result value.
@@ -24,6 +33,11 @@ pub enum SoapValue {
     Bool(bool),
     /// A whole result table.
     Table(VoTable),
+    /// A table already encoded once (a measured reply, a §6 chunk, or
+    /// an input sent to several nodes), shared rather than copied until
+    /// it is written: the same bytes as [`SoapValue::Table`] of that
+    /// table. Decoding yields `Table`.
+    EncodedTable(Arc<EncodedTable>),
     /// An arbitrary XML payload (schemas, plans).
     Xml(Element),
     /// Explicit nil.
@@ -37,54 +51,91 @@ impl SoapValue {
             SoapValue::Int(_) => "long",
             SoapValue::Float(_) => "double",
             SoapValue::Bool(_) => "boolean",
-            SoapValue::Table(_) => "table",
+            SoapValue::Table(_) | SoapValue::EncodedTable(_) => "table",
             SoapValue::Xml(_) => "xml",
             SoapValue::Null => "nil",
         }
     }
 
-    fn encode_into(&self, name: &str) -> Element {
-        let e = Element::new(name).with_attr("sq:type", self.type_name());
+    /// Writes `<name sq:type="…">value</name>`; `table` handles a
+    /// pre-encoded table (`to_xml` copies it in, `encoded_len` only
+    /// counts it).
+    fn write_to(
+        &self,
+        w: &mut XmlWriter,
+        name: &str,
+        table: &mut impl FnMut(&mut XmlWriter, &EncodedTable),
+    ) {
+        w.open(name).attr("sq:type", self.type_name());
         match self {
-            SoapValue::Str(s) => e.with_text(s.clone()),
-            SoapValue::Int(i) => e.with_text(i.to_string()),
-            SoapValue::Float(x) => e.with_text(format!("{x:?}")),
-            SoapValue::Bool(b) => e.with_text(b.to_string()),
-            SoapValue::Table(t) => e.with_child(t.to_element()),
-            SoapValue::Xml(x) => e.with_child(x.clone()),
-            SoapValue::Null => e,
+            SoapValue::Str(s) => {
+                if !s.is_empty() {
+                    w.text(s);
+                }
+            }
+            SoapValue::Int(i) => {
+                w.text(&i.to_string());
+            }
+            SoapValue::Float(x) => {
+                w.text(&format!("{x:?}"));
+            }
+            SoapValue::Bool(b) => {
+                w.text(if *b { "true" } else { "false" });
+            }
+            SoapValue::Table(t) => t.write_to(w),
+            SoapValue::EncodedTable(t) => table(w, t),
+            SoapValue::Xml(x) => x.write_to(w),
+            SoapValue::Null => {}
         }
+        w.close().expect("opened above");
     }
 
-    fn decode(e: &Element) -> Result<SoapValue, SoapError> {
-        let ty = e.attr("sq:type").ok_or_else(|| SoapError::Protocol {
-            detail: format!("parameter {} missing sq:type", e.name),
+    /// Decodes the parameter element whose start tag `r` just returned,
+    /// reading through its end tag.
+    fn read_from(
+        r: &mut XmlReader<'_>,
+        name: &str,
+        attrs: Attributes<'_>,
+    ) -> Result<SoapValue, SoapError> {
+        let ty = attrs.get("sq:type").ok_or_else(|| SoapError::Protocol {
+            detail: format!("parameter {name} missing sq:type"),
         })?;
-        let parse_err = |what: &str| SoapError::Protocol {
-            detail: format!("parameter {} is not a valid {what}: {:?}", e.name, e.text),
+        let scalar = |r: &mut XmlReader<'_>, what: &str, parse: fn(&str) -> Option<SoapValue>| {
+            let text = r.read_text()?;
+            parse(&text).ok_or_else(|| SoapError::Protocol {
+                detail: format!("parameter {name} is not a valid {what}: {text:?}"),
+            })
         };
-        Ok(match ty {
-            "string" => SoapValue::Str(e.text.clone()),
-            "long" => SoapValue::Int(e.text.parse().map_err(|_| parse_err("long"))?),
-            "double" => SoapValue::Float(e.text.parse().map_err(|_| parse_err("double"))?),
-            "boolean" => SoapValue::Bool(e.text.parse().map_err(|_| parse_err("boolean"))?),
+        Ok(match &*ty {
+            "string" => SoapValue::Str(r.read_text()?.into_owned()),
+            "long" => scalar(r, "long", |t| t.parse().ok().map(SoapValue::Int))?,
+            "double" => scalar(r, "double", |t| t.parse().ok().map(SoapValue::Float))?,
+            "boolean" => scalar(r, "boolean", |t| t.parse().ok().map(SoapValue::Bool))?,
             "table" => {
-                let t = e.children.first().ok_or_else(|| SoapError::Protocol {
-                    detail: format!("table parameter {} has no VOTABLE child", e.name),
+                let table = read_first_child(r, |r, child, attrs| {
+                    if child != "VOTABLE" {
+                        return Err(SoapError::Xml(XmlError::SchemaViolation {
+                            detail: format!("expected VOTABLE root, found {child}"),
+                        }));
+                    }
+                    Ok(VoTable::read_from(r, attrs)?)
                 })?;
-                SoapValue::Table(VoTable::from_element(t)?)
+                SoapValue::Table(table.ok_or_else(|| SoapError::Protocol {
+                    detail: format!("table parameter {name} has no VOTABLE child"),
+                })?)
             }
             "xml" => {
-                let x = e
-                    .children
-                    .first()
-                    .cloned()
-                    .ok_or_else(|| SoapError::Protocol {
-                        detail: format!("xml parameter {} has no child", e.name),
-                    })?;
-                SoapValue::Xml(x)
+                let x = read_first_child(r, |r, child, attrs| {
+                    Ok(Element::read_from(r, child, attrs)?)
+                })?;
+                SoapValue::Xml(x.ok_or_else(|| SoapError::Protocol {
+                    detail: format!("xml parameter {name} has no child"),
+                })?)
             }
-            "nil" => SoapValue::Null,
+            "nil" => {
+                r.skip_element()?;
+                SoapValue::Null
+            }
             other => {
                 return Err(SoapError::Protocol {
                     detail: format!("unknown parameter type {other}"),
@@ -134,6 +185,14 @@ impl SoapValue {
         }
     }
 
+    /// The table, by value (`None` on type mismatch).
+    pub fn into_table(self) -> Option<VoTable> {
+        match self {
+            SoapValue::Table(t) => Some(t),
+            _ => None,
+        }
+    }
+
     /// XML-payload view (`None` on type mismatch).
     pub fn as_xml(&self) -> Option<&Element> {
         match self {
@@ -141,6 +200,58 @@ impl SoapValue {
             _ => None,
         }
     }
+}
+
+/// Hands the first child element of the element whose start tag `r` just
+/// returned to `read`, then skips to that element's end tag. `None` when
+/// there is no child element.
+fn read_first_child<'a, T>(
+    r: &mut XmlReader<'a>,
+    read: impl FnOnce(&mut XmlReader<'a>, &'a str, Attributes<'a>) -> Result<T, SoapError>,
+) -> Result<Option<T>, SoapError> {
+    let mut read = Some(read);
+    let mut out = None;
+    while let Some(event) = r.next_in_element()? {
+        if let Event::Start { name, attrs } = event {
+            match read.take() {
+                Some(read) => out = Some(read(r, name, attrs)?),
+                None => r.skip_element()?,
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Reads the parameter elements of a method element through its end tag.
+fn read_params(r: &mut XmlReader<'_>) -> Result<Vec<(String, SoapValue)>, SoapError> {
+    let mut params = Vec::new();
+    while let Some(event) = r.next_in_element()? {
+        if let Event::Start { name, attrs } = event {
+            params.push((name.to_string(), SoapValue::read_from(r, name, attrs)?));
+        }
+    }
+    Ok(params)
+}
+
+/// Encodes a method element named `element` carrying `params`.
+fn encode_method(
+    element: &str,
+    params: &[(String, SoapValue)],
+    table: &mut impl FnMut(&mut XmlWriter, &EncodedTable),
+) -> String {
+    let mut w = XmlWriter::new();
+    write_envelope(&mut w, None, |w| {
+        w.open(element).attr("xmlns:sq", SKYQUERY_NS);
+        for (name, value) in params {
+            value.write_to(w, name, table);
+        }
+        w.close().expect("opened above");
+    });
+    w.finish().expect("messages are balanced by construction")
+}
+
+fn copy_table(w: &mut XmlWriter, t: &EncodedTable) {
+    w.raw(t.as_str());
 }
 
 /// An RPC method call.
@@ -186,29 +297,26 @@ impl RpcCall {
 
     /// Encodes to a wire XML document.
     pub fn to_xml(&self) -> String {
-        let mut m = Element::new(format!("sq:{}", self.method)).with_attr("xmlns:sq", SKYQUERY_NS);
-        for (name, value) in &self.params {
-            m = m.with_child(value.encode_into(name));
-        }
-        Envelope::new(m).to_xml()
+        encode_method(
+            &format!("sq:{}", self.method),
+            &self.params,
+            &mut copy_table,
+        )
     }
 
     /// Decodes a wire document into a call.
     pub fn parse(xml: &str) -> Result<RpcCall, SoapError> {
-        let env = Envelope::parse(xml)?;
-        let method = env
-            .body
-            .name
-            .rsplit_once(':')
-            .map(|(_, local)| local)
-            .unwrap_or(&env.body.name)
-            .to_string();
-        let mut params = Vec::new();
-        for child in &env.body.children {
-            params.push((child.name.clone(), SoapValue::decode(child)?));
-        }
-        Ok(RpcCall { method, params })
+        read_envelope(xml, skip_header, |r, name, _| {
+            Ok(RpcCall {
+                method: local_name(name).to_string(),
+                params: read_params(r)?,
+            })
+        })
     }
+}
+
+fn skip_header(r: &mut XmlReader<'_>, _: &str, _: Attributes<'_>) -> Result<(), SoapError> {
+    Ok(r.skip_element()?)
 }
 
 /// A successful RPC response: the method name plus named results.
@@ -240,6 +348,13 @@ impl RpcResponse {
         self.results.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
 
+    /// Removes and returns the result named `name` — how a receiver
+    /// takes a decoded table without copying it.
+    pub fn take(&mut self, name: &str) -> Option<SoapValue> {
+        let i = self.results.iter().position(|(n, _)| n == name)?;
+        Some(self.results.remove(i).1)
+    }
+
     /// Required result, with a protocol error naming it when absent.
     pub fn require(&self, name: &str) -> Result<&SoapValue, SoapError> {
         self.get(name).ok_or_else(|| SoapError::Protocol {
@@ -247,39 +362,46 @@ impl RpcResponse {
         })
     }
 
+    fn element(&self) -> String {
+        format!("sq:{}Response", self.method)
+    }
+
     /// Encodes to a wire XML document.
     pub fn to_xml(&self) -> String {
-        let mut m =
-            Element::new(format!("sq:{}Response", self.method)).with_attr("xmlns:sq", SKYQUERY_NS);
-        for (name, value) in &self.results {
-            m = m.with_child(value.encode_into(name));
-        }
-        Envelope::new(m).to_xml()
+        encode_method(&self.element(), &self.results, &mut copy_table)
+    }
+
+    /// The length of [`RpcResponse::to_xml`], with pre-encoded tables
+    /// counted rather than copied: what a sender checks against the
+    /// receiver's parser limit before deciding to chunk a reply.
+    pub fn encoded_len(&self) -> usize {
+        let mut tables = 0;
+        let rest = encode_method(&self.element(), &self.results, &mut |w, t| {
+            w.raw("");
+            tables += t.len();
+        });
+        rest.len() + tables
     }
 
     /// Decodes a wire document into either a response or a fault.
     pub fn parse(xml: &str) -> Result<std::result::Result<RpcResponse, SoapFault>, SoapError> {
-        let env = Envelope::parse(xml)?;
-        let local = env
-            .body
-            .name
-            .rsplit_once(':')
-            .map(|(_, l)| l)
-            .unwrap_or(&env.body.name);
-        if local == "Fault" {
-            return Ok(Err(SoapFault::from_element(&env.body)?));
-        }
-        let method = local
-            .strip_suffix("Response")
-            .ok_or_else(|| SoapError::Protocol {
-                detail: format!("body element {local} is neither a Response nor a Fault"),
-            })?
-            .to_string();
-        let mut results = Vec::new();
-        for child in &env.body.children {
-            results.push((child.name.clone(), SoapValue::decode(child)?));
-        }
-        Ok(Ok(RpcResponse { method, results }))
+        read_envelope(xml, skip_header, |r, name, attrs| {
+            let local = local_name(name);
+            if local == "Fault" {
+                let fault = Element::read_from(r, name, attrs)?;
+                return Ok(Err(SoapFault::from_element(&fault)?));
+            }
+            let method = local
+                .strip_suffix("Response")
+                .ok_or_else(|| SoapError::Protocol {
+                    detail: format!("body element {local} is neither a Response nor a Fault"),
+                })?
+                .to_string();
+            Ok(Ok(RpcResponse {
+                method,
+                results: read_params(r)?,
+            }))
+        })
     }
 }
 
@@ -321,20 +443,21 @@ impl SoapFault {
 
     /// Encodes to a wire XML document (ridden on HTTP 500).
     pub fn to_xml(&self) -> String {
-        let f = Element::new("soap:Fault")
-            .with_leaf("faultcode", format!("soap:{}", self.code))
-            .with_leaf("faultstring", self.message.clone())
-            .with_leaf("detail", self.detail.clone());
-        Envelope::new(f).to_xml()
+        let mut w = XmlWriter::new();
+        write_envelope(&mut w, None, |w| {
+            w.open("soap:Fault");
+            w.leaf("faultcode", &format!("soap:{}", self.code))
+                .and_then(|w| w.leaf("faultstring", &self.message))
+                .and_then(|w| w.leaf("detail", &self.detail))
+                .and_then(|w| w.close())
+                .expect("leaves are balanced");
+        });
+        w.finish().expect("faults are balanced by construction")
     }
 
     fn from_element(e: &Element) -> Result<SoapFault, SoapError> {
         let code_raw = e.child_text("faultcode").map_err(SoapError::Xml)?;
-        let code = code_raw
-            .rsplit_once(':')
-            .map(|(_, l)| l)
-            .unwrap_or(code_raw)
-            .to_string();
+        let code = local_name(code_raw).to_string();
         let message = e
             .child_text("faultstring")
             .map_err(SoapError::Xml)?
@@ -401,6 +524,30 @@ mod tests {
             1
         );
         assert!(back.require("nope").is_err());
+    }
+
+    #[test]
+    fn pre_encoded_tables_write_the_same_bytes() {
+        let t = table();
+        let plain = RpcResponse::new("CrossMatch")
+            .result("partial", SoapValue::Table(t.clone()))
+            .result("n", SoapValue::Int(1));
+        let mut encoded = RpcResponse::new("CrossMatch")
+            .result("partial", SoapValue::EncodedTable(Arc::new(t.encode())))
+            .result("n", SoapValue::Int(1));
+        assert_eq!(encoded.to_xml(), plain.to_xml());
+        assert_eq!(encoded.encoded_len(), plain.to_xml().len());
+        assert_eq!(plain.encoded_len(), plain.to_xml().len());
+        // Decoding always yields the typed table, which can be taken out.
+        let mut back = RpcResponse::parse(&encoded.to_xml()).unwrap().unwrap();
+        let got = back
+            .take("partial")
+            .and_then(SoapValue::into_table)
+            .unwrap();
+        assert_eq!(got, t);
+        assert_eq!(got.wire_len(), Some(t.to_xml().len()));
+        assert!(back.get("partial").is_none());
+        assert!(encoded.take("missing").is_none());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! A small element tree for message construction and navigation.
 
-use crate::reader::{XmlEvent, XmlReader};
+use crate::reader::{Attributes, Event, XmlReader};
 use crate::writer::XmlWriter;
 use crate::XmlError;
 
@@ -73,7 +73,6 @@ impl Element {
     }
 
     /// Attribute value by name.
-    /// Attribute value by name.
     pub fn attr(&self, name: &str) -> Option<&str> {
         self.attributes
             .iter()
@@ -96,7 +95,7 @@ impl Element {
     /// Serializes compactly (wire form).
     pub fn to_xml(&self) -> String {
         let mut w = XmlWriter::new();
-        self.write_into(&mut w);
+        self.write_to(&mut w);
         w.finish().expect("element trees are always balanced")
     }
 
@@ -104,11 +103,12 @@ impl Element {
     pub fn to_pretty_xml(&self) -> String {
         let mut w = XmlWriter::pretty(2);
         w.declaration();
-        self.write_into(&mut w);
+        self.write_to(&mut w);
         w.finish().expect("element trees are always balanced")
     }
 
-    fn write_into(&self, w: &mut XmlWriter) {
+    /// Writes this element (text first, then children) into `w`.
+    pub fn write_to(&self, w: &mut XmlWriter) {
         w.open(&self.name);
         for (k, v) in &self.attributes {
             w.attr(k, v);
@@ -117,7 +117,7 @@ impl Element {
             w.text(&self.text);
         }
         for c in &self.children {
-            c.write_into(w);
+            c.write_to(w);
         }
         w.close().expect("balanced by construction");
     }
@@ -127,16 +127,11 @@ impl Element {
         let mut reader = XmlReader::new(input);
         // Find the root start element.
         let root = loop {
-            match reader.next_event()? {
-                XmlEvent::StartElement { name, attributes } => {
-                    break Element {
-                        name,
-                        attributes,
-                        children: Vec::new(),
-                        text: String::new(),
-                    }
+            match reader.read_event()? {
+                Event::Start { name, attrs } => {
+                    break Element::read_from(&mut reader, name, attrs)?
                 }
-                XmlEvent::Eof => {
+                Event::Eof => {
                     return Err(XmlError::UnexpectedEof {
                         context: "document has no root element".into(),
                     })
@@ -144,22 +139,36 @@ impl Element {
                 _ => {}
             }
         };
-        let mut stack = vec![root];
+        reader.finish()?;
+        Ok(root)
+    }
+
+    /// Builds the element whose start tag `reader` just returned, reading
+    /// through its end tag — how a streaming decoder keeps a small
+    /// subtree (a plan, a manifest) as a tree.
+    pub fn read_from(
+        reader: &mut XmlReader<'_>,
+        name: &str,
+        attrs: Attributes<'_>,
+    ) -> Result<Element, XmlError> {
+        let open = |name: &str, attrs: Attributes<'_>| Element {
+            name: name.to_string(),
+            attributes: attrs
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.into_owned()))
+                .collect(),
+            children: Vec::new(),
+            text: String::new(),
+        };
+        let mut stack = vec![open(name, attrs)];
         loop {
-            match reader.next_event()? {
-                XmlEvent::StartElement { name, attributes } => {
-                    stack.push(Element {
-                        name,
-                        attributes,
-                        children: Vec::new(),
-                        text: String::new(),
-                    });
-                }
-                XmlEvent::Text(t) => {
+            match reader.read_event()? {
+                Event::Start { name, attrs } => stack.push(open(name, attrs)),
+                Event::Text(t) => {
                     let top = stack.last_mut().expect("text implies open element");
                     top.text.push_str(&t);
                 }
-                XmlEvent::EndElement { .. } => {
+                Event::End { .. } => {
                     let mut done = stack.pop().expect("reader guarantees balance");
                     // Whitespace around child elements is formatting noise
                     // (pretty printing); an all-space *leaf* keeps its text.
@@ -168,26 +177,10 @@ impl Element {
                     }
                     match stack.last_mut() {
                         Some(parent) => parent.children.push(done),
-                        None => {
-                            // Root closed: consume trailing events to Eof.
-                            loop {
-                                match reader.next_event()? {
-                                    XmlEvent::Eof => return Ok(done),
-                                    XmlEvent::Text(t) if t.trim().is_empty() => {}
-                                    other => {
-                                        return Err(XmlError::Malformed {
-                                            offset: reader.offset(),
-                                            detail: format!(
-                                                "content after root element: {other:?}"
-                                            ),
-                                        })
-                                    }
-                                }
-                            }
-                        }
+                        None => return Ok(done),
                     }
                 }
-                XmlEvent::Eof => unreachable!("reader errors on unclosed elements"),
+                Event::Eof => unreachable!("reader errors on unclosed elements"),
             }
         }
     }
@@ -195,7 +188,7 @@ impl Element {
 
 /// Whether element name `actual` (possibly `prefix:local`) matches `wanted`
 /// (compared against the full name and the local part).
-fn local_matches(actual: &str, wanted: &str) -> bool {
+pub fn local_matches(actual: &str, wanted: &str) -> bool {
     actual == wanted
         || actual
             .rsplit_once(':')

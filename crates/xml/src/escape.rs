@@ -1,40 +1,65 @@
 //! Entity escaping and unescaping.
 
+use std::borrow::Cow;
+
 use crate::XmlError;
+
+/// Appends `s` to `out` with `&`, `<` and `>` escaped (text content; `>`
+/// for `]]>` safety). Runs without special characters are copied whole.
+pub fn escape_text_into(out: &mut String, s: &str) {
+    escape_into(out, s, false);
+}
+
+/// Appends `s` to `out` escaped for a `"`-quoted attribute value: the
+/// text escapes plus `"` and `'`.
+pub fn escape_attr_into(out: &mut String, s: &str) {
+    escape_into(out, s, true);
+}
+
+fn escape_into(out: &mut String, s: &str, attr: bool) {
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' if attr => "&quot;",
+            b'\'' if attr => "&apos;",
+            _ => continue,
+        };
+        out.push_str(&s[start..i]);
+        out.push_str(entity);
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
+}
 
 /// Escapes text content: `&`, `<`, `>` (the latter for `]]>` safety).
 pub fn escape_text(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            _ => out.push(c),
-        }
-    }
+    escape_text_into(&mut out, s);
     out
 }
 
 /// Escapes attribute values (quoted with `"`): text escapes plus `"`.
 pub fn escape_attr(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            _ => out.push(c),
-        }
-    }
+    escape_attr_into(&mut out, s);
     out
 }
 
 /// Expands the five predefined entities plus decimal/hex character
 /// references.
 pub fn unescape(s: &str) -> Result<String, XmlError> {
+    unescape_cow(s).map(Cow::into_owned)
+}
+
+/// [`unescape`] that borrows `s` when it holds no entity reference —
+/// the common case for wire cells, which then cost no allocation.
+pub fn unescape_cow(s: &str) -> Result<Cow<'_, str>, XmlError> {
+    if !s.contains('&') {
+        return Ok(Cow::Borrowed(s));
+    }
     let mut out = String::with_capacity(s.len());
     let mut chars = s.char_indices();
     while let Some((_, c)) = chars.next() {
@@ -79,7 +104,7 @@ pub fn unescape(s: &str) -> Result<String, XmlError> {
             }
         }
     }
-    Ok(out)
+    Ok(Cow::Owned(out))
 }
 
 #[cfg(test)]

@@ -8,10 +8,12 @@
 //!
 //! * [`escape`] — text/attribute escaping,
 //! * [`writer`] — a streaming, well-formedness-checking writer,
-//! * [`reader`] — a pull parser producing [`reader::XmlEvent`]s,
+//! * [`reader`] — a pull parser producing borrowed [`reader::Event`]s
+//!   (or owned [`reader::XmlEvent`]s),
 //! * [`dom`] — a small element tree for convenient message construction,
 //! * [`votable`] — tabular result-set encoding (columns + typed rows),
-//!   modeled on the VOTable format astronomy archives adopted.
+//!   modeled on the VOTable format astronomy archives adopted, encoded
+//!   and decoded in one streaming pass.
 //!
 //! The parser is deliberately strict about well-formedness (mismatched
 //! tags, bad entities, stray `<`) and deliberately small: no DTDs, no
@@ -29,8 +31,8 @@ pub mod writer;
 
 pub use dom::Element;
 pub use escape::{escape_attr, escape_text, unescape};
-pub use reader::{XmlEvent, XmlReader};
-pub use votable::{VoColumn, VoTable, VoType};
+pub use reader::{Attributes, Event, XmlEvent, XmlReader};
+pub use votable::{EncodedTable, TableEncoder, VoCell, VoColumn, VoTable, VoType};
 pub use writer::XmlWriter;
 
 /// Errors from XML reading or writing.

@@ -1,6 +1,6 @@
 //! A streaming XML writer with well-formedness checking.
 
-use crate::escape::{escape_attr, escape_text};
+use crate::escape::{escape_attr_into, escape_text_into};
 use crate::XmlError;
 
 /// Streaming writer. Elements are opened with [`XmlWriter::open`] /
@@ -105,7 +105,7 @@ impl XmlWriter {
             self.buf.push(' ');
             self.buf.push_str(name);
             self.buf.push_str("=\"");
-            self.buf.push_str(&escape_attr(value));
+            escape_attr_into(&mut self.buf, value);
             self.buf.push('"');
         }
         self
@@ -114,7 +114,7 @@ impl XmlWriter {
     /// Writes escaped text content into the current element.
     pub fn text(&mut self, content: &str) -> &mut Self {
         self.seal_tag();
-        self.buf.push_str(&escape_text(content));
+        escape_text_into(&mut self.buf, content);
         self.had_text = true;
         self
     }
@@ -125,6 +125,15 @@ impl XmlWriter {
         self.buf.push_str(content);
         self.had_text = true;
         self
+    }
+
+    /// The output buffer, for an encoder that writes a pre-checked run of
+    /// markup (a table's rows) straight into it; the caller keeps the
+    /// document balanced.
+    pub(crate) fn raw_buf(&mut self) -> &mut String {
+        self.seal_tag();
+        self.had_text = true;
+        &mut self.buf
     }
 
     /// Closes the innermost element.
@@ -168,8 +177,7 @@ impl XmlWriter {
         Ok(self.buf)
     }
 
-    /// Current output length in bytes (used by the chunking layer to
-    /// respect message-size limits while streaming rows).
+    /// Current output length in bytes.
     pub fn len(&self) -> usize {
         self.buf.len()
     }
