@@ -52,8 +52,8 @@ pub use lease::LeaseTable;
 pub use meta::{ArchiveInfo, RegisteredNode, Registration, ZoneExtent};
 pub use plan::{ExecutionPlan, PlanShard, PlanStep};
 pub use portal::{
-    ChainMode, CheckpointedWalk, Degradation, FederationConfig, HostHealth, HostState,
-    OrderingStrategy, Portal,
+    ChainMode, Degradation, FederationConfig, HostHealth, HostState, OrderingStrategy, Portal,
+    StepWalk,
 };
 pub use region::Region;
 pub use result::{ResultColumn, ResultSet};

@@ -9,7 +9,7 @@
 //! count order), fires the daisy chain, applies the final projection, and
 //! relays the result to the client.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -636,7 +636,7 @@ impl Portal {
     /// the federated execution plan (step 5), recording the same trace
     /// events a full submission would. The job service plans here once at
     /// admission, then drives [`Portal::execute_plan`] (or a stepwise
-    /// [`CheckpointedWalk`]) separately.
+    /// [`StepWalk`]) separately.
     pub fn plan_query(&self, sql: &str, trace: &mut ExecutionTrace) -> Result<ExecutionPlan> {
         let query = parse_query(sql).map_err(FederationError::Sql)?;
         let dq = decompose(query).map_err(FederationError::Sql)?;
@@ -683,73 +683,92 @@ impl Portal {
 
     /// Fires the chain for a prepared plan (steps 6–7 of Figure 3) under
     /// the configured chain mode — the paper's recursive daisy chain, or
-    /// the portal-driven checkpointed walk (per-step health book-keeping
-    /// happens inside the walk).
+    /// a Portal-driven [`StepWalk`] (per-step health book-keeping happens
+    /// inside the walk). With the result cache on, a hit is served
+    /// without executing any step and a miss runs the caching walk.
     pub fn execute_plan(
         &self,
         plan: &ExecutionPlan,
         trace: &mut ExecutionTrace,
     ) -> Result<(PartialSet, StatsChain, Degradation)> {
-        let config = self.config();
-        if config.result_cache_capacity > 0 {
-            if let Some((set, stats)) = self.cached_result(plan, trace) {
-                // Cached entries are only written by complete (never
-                // degraded) walks, so a hit is always a complete answer.
-                return Ok((set, stats, Degradation::default()));
-            }
-            // Miss: run a caching walk so the next repeat of this plan
-            // can be served from the cache. On an unhealthy-node
-            // failure fall back to the configured chain mode, which
-            // can re-plan around the failure; anything else is fatal
-            // either way.
-            match self.run_caching_chain(plan, trace, &config) {
-                Ok(mut r) => {
-                    self.stamp_cache_counters(&mut r.1);
-                    return Ok((r.0, r.1, Degradation::default()));
-                }
-                Err(FederationError::NodeUnhealthy { .. }) => {
-                    trace.push(
-                        "Portal",
-                        "cache",
-                        "caching walk hit an unhealthy node; falling back to direct execution"
-                            .to_string(),
-                    );
-                }
-                Err(e) => return Err(e),
-            }
-            let mut r = self.execute_plan_direct(plan, trace)?;
-            self.stamp_cache_counters(&mut r.1);
-            return Ok(r);
+        if self.config().result_cache_capacity == 0 {
+            return self.execute_plan_direct(plan, trace);
         }
-        self.execute_plan_direct(plan, trace)
+        if let Some((set, stats)) = self.cached_result(plan, trace) {
+            // Cached entries are only written by complete (never
+            // degraded) walks, so a hit is always a complete answer.
+            return Ok((set, stats, Degradation::default()));
+        }
+        // Miss: run a caching walk so the next repeat of this plan can
+        // be served from the cache. On an unhealthy-node failure fall
+        // back to the configured chain mode, which can re-plan around
+        // the failure; anything else is fatal either way.
+        let caching = self.fetch_versions(plan).and_then(|before| {
+            let record = CacheRecord {
+                before,
+                steps: Vec::new(),
+            };
+            StepWalk::new(
+                plan,
+                ChainMode::Recursive,
+                Committed::Memory(None),
+                Some(record),
+            )
+            .run(self, trace)
+        });
+        let mut r = match caching {
+            Err(FederationError::NodeUnhealthy { .. }) => {
+                trace.push(
+                    "Portal",
+                    "cache",
+                    "caching walk hit an unhealthy node; falling back to direct execution"
+                        .to_string(),
+                );
+                self.execute_plan_direct(plan, trace)?
+            }
+            r => r?,
+        };
+        self.stamp_cache_counters(&mut r.1);
+        Ok(r)
     }
 
     /// The cache-oblivious execution path: the configured chain mode
-    /// over the daisy chain or the scatter-gather executor.
+    /// over the daisy chain or a Portal-driven step walk.
     fn execute_plan_direct(
         &self,
         plan: &ExecutionPlan,
         trace: &mut ExecutionTrace,
     ) -> Result<(PartialSet, StatsChain, Degradation)> {
+        if let Some(walk) = self.step_walk(plan) {
+            return walk.run(self, trace);
+        }
+        let r = invoke_cross_match(&self.net, &self.host, &plan.steps[0].url, plan, 0);
+        self.note_health(&r);
+        if r.is_ok() {
+            self.note_healthy(&plan.steps[0].url.host);
+        }
+        r.map(|(set, stats)| (set, stats, Degradation::default()))
+    }
+
+    /// The Portal-driven walk for `plan` under the configured chain
+    /// mode, or `None` when the plan runs as the paper's recursive daisy
+    /// chain (an unsharded plan under [`ChainMode::Recursive`]): one
+    /// `CrossMatch` call that cannot be sliced. A plan addressing any
+    /// sharded or replicated archive is always walked — the
+    /// node-to-node daisy chain cannot express a scatter — with the
+    /// merged set held in Portal memory; an unsharded plan under
+    /// [`ChainMode::Checkpointed`] commits each step as a leased node
+    /// checkpoint instead.
+    pub fn step_walk(&self, plan: &ExecutionPlan) -> Option<StepWalk> {
         let mode = self.config().chain_mode;
-        if plan.has_shards() {
-            // A plan addressing any sharded or replicated archive is
-            // driven step by step from the Portal, scattering each step
-            // to the owning shards with replica failover; the
-            // node-to-node daisy chain cannot express a scatter.
-            return self.run_scatter_chain(plan, trace, mode);
-        }
-        match mode {
-            ChainMode::Recursive => {
-                let r = invoke_cross_match(&self.net, &self.host, &plan.steps[0].url, plan, 0);
-                self.note_health(&r);
-                if r.is_ok() {
-                    self.note_healthy(&plan.steps[0].url.host);
-                }
-                r.map(|(set, stats)| (set, stats, Degradation::default()))
-            }
-            ChainMode::Checkpointed => self.run_checkpointed_chain(plan, trace),
-        }
+        let committed = if plan.has_shards() {
+            Committed::Memory(None)
+        } else if mode == ChainMode::Checkpointed {
+            Committed::Checkpoint(None)
+        } else {
+            return None;
+        };
+        Some(StepWalk::new(plan, mode, committed, None))
     }
 
     /// Applies the plan's final ORDER BY / LIMIT / SELECT projection
@@ -840,34 +859,6 @@ impl Portal {
             format!("{} matched tuples to client", result.row_count()),
         );
         Ok((result, trace))
-    }
-
-    /// Drives the plan step by step from the Portal
-    /// ([`ChainMode::Checkpointed`]). Each `ExecuteStep` call commits the
-    /// step's partial set as a leased checkpoint on the executing node;
-    /// only the checkpoint id, row count, and statistics travel back. On
-    /// a mid-chain `NodeUnhealthy` failure the Portal re-plans: a failing
-    /// drop-out archive is skipped (`degraded`), a failing mandatory
-    /// archive is deferred behind the other mandatory steps (`replan`) —
-    /// in both cases execution resumes from the last good checkpoint
-    /// without re-running any committed step.
-    fn run_checkpointed_chain(
-        &self,
-        plan: &ExecutionPlan,
-        trace: &mut ExecutionTrace,
-    ) -> Result<(PartialSet, StatsChain, Degradation)> {
-        let mut walk = CheckpointedWalk::new(plan);
-        while !walk.is_done() {
-            if let Err(e) = walk.step(self, trace) {
-                // The last good checkpoint will never be resumed: free it
-                // now instead of waiting for the holder's janitor.
-                walk.release(self);
-                return Err(e);
-            }
-        }
-        let degradation = walk.degradation().clone();
-        let (set, stats) = walk.finish(self)?;
-        Ok((set, stats, degradation))
     }
 
     /// Attempts to serve `plan` from the result cache: a **hit** (the
@@ -1165,96 +1156,57 @@ impl Portal {
         stamp_cache_counters(stats, c);
     }
 
-    /// Runs the plan step by step from the Portal — reusing the
-    /// scatter executor, which degenerates to one call per step for an
-    /// unsharded plan — while recording every step's committed partial
-    /// set and per-tuple provenance for the result cache. Each step's
-    /// input is tagged with a [`CACHE_SRC_COL`] provenance column
-    /// (stripped from the output) so a later incremental repair knows
-    /// which upstream tuple every output row extends. The walk is
-    /// bracketed by two authoritative version fetches; if any table
-    /// moved mid-walk the result is returned but not cached.
-    fn run_caching_chain(
+    /// Caches what a caching walk recorded — every step's committed
+    /// partial set plus per-tuple provenance — unless a table moved
+    /// while the walk ran: the walk is bracketed by two authoritative
+    /// version fetches, and torn provenance is never cached.
+    fn populate_cache(
         &self,
         plan: &ExecutionPlan,
+        record: CacheRecord,
         trace: &mut ExecutionTrace,
-        config: &FederationConfig,
-    ) -> Result<(PartialSet, StatsChain)> {
-        let before = self.fetch_versions(plan)?;
-        let n = plan.steps.len();
-        let mut steps: Vec<Option<CachedStep>> = (0..n).map(|_| None).collect();
-        let mut stats = StatsChain::new();
-        let mut current: Option<PartialSet> = None;
-        for idx in (0..n).rev() {
-            let input_tagged = current.as_ref().map(|set| {
-                let all: Vec<usize> = (0..set.tuples.len()).collect();
-                tag_with_cache_src(set, &all)
-            });
-            let (set, st, _) = self.scatter_step(
-                plan,
-                idx,
-                input_tagged.as_ref(),
-                ChainMode::Recursive,
-                trace,
-            )?;
-            let (clean, src) = match &current {
-                Some(_) => strip_cache_src(set)?,
-                None => {
-                    let src = (0..set.len() as u64).collect();
-                    (set, src)
-                }
-            };
-            stats.push(plan.steps[idx].alias.clone(), st);
-            steps[idx] = Some(CachedStep {
-                alias: plan.steps[idx].alias.clone(),
-                set: clean.clone(),
-                src,
-                stats: st,
-            });
-            current = Some(clean);
-        }
-        let final_set =
-            current.ok_or_else(|| FederationError::planning("caching chain committed no steps"))?;
+    ) -> Result<()> {
         let after = self.fetch_versions(plan)?;
-        if before == after {
-            for vs in &after {
-                for v in vs {
-                    self.update_registry_version(&v.host, &v.table, v.version);
-                }
-            }
-            let entry = CacheEntry {
-                signature: plan.cache_signature(),
-                versions: after,
-                steps: steps
-                    .into_iter()
-                    .map(|s| s.expect("every step executed"))
-                    .collect(),
-            };
-            let now = self.net.now_s();
-            let mut cache = self.cache.lock();
-            cache.insert(
-                entry,
-                now,
-                config.result_cache_ttl_s,
-                config.result_cache_capacity,
-            );
-            drop(cache);
-            trace.push(
-                "Portal",
-                "cache populate",
-                format!(
-                    "cached all {n} step partial sets under a {:.0}s lease",
-                    config.result_cache_ttl_s
-                ),
-            );
-        } else {
+        if record.before != after {
             trace.push(
                 "Portal",
                 "cache",
                 "table versions moved during execution; result not cached".to_string(),
             );
+            return Ok(());
         }
-        Ok((final_set, stats))
+        for vs in &after {
+            for v in vs {
+                self.update_registry_version(&v.host, &v.table, v.version);
+            }
+        }
+        // Recorded in execution order (seed first); entries keep plan
+        // order.
+        let mut steps = record.steps;
+        steps.reverse();
+        let entry = CacheEntry {
+            signature: plan.cache_signature(),
+            versions: after,
+            steps,
+        };
+        let config = self.config();
+        let now = self.net.now_s();
+        self.cache.lock().insert(
+            entry,
+            now,
+            config.result_cache_ttl_s,
+            config.result_cache_capacity,
+        );
+        trace.push(
+            "Portal",
+            "cache populate",
+            format!(
+                "cached all {} step partial sets under a {:.0}s lease",
+                plan.steps.len(),
+                config.result_cache_ttl_s
+            ),
+        );
+        Ok(())
     }
 
     /// Repairs a monotonically stale cache entry in place of a cold
@@ -1294,41 +1246,21 @@ impl Portal {
                 .map(|v| v.version)
                 .ok_or_else(|| FederationError::protocol("cached step has no version record"))?;
             let v_reg = current[idx].first().map(|v| v.version).unwrap_or(v_old);
-            let needs_delta = v_reg > v_old;
+            let r = StepRepair {
+                plan,
+                idx,
+                cached,
+                v_old,
+                v_reg,
+                needs_delta: v_reg > v_old,
+            };
+            let versions = &mut new_versions[idx];
             let (repaired, src, stats) = match up.take() {
-                None => self.repair_seed(
-                    plan,
-                    idx,
-                    cached,
-                    v_old,
-                    needs_delta,
-                    &mut new_versions[idx],
-                )?,
-                Some(upstream) => {
-                    if plan.steps[idx].dropout {
-                        self.repair_dropout(
-                            plan,
-                            idx,
-                            cached,
-                            upstream,
-                            v_old,
-                            v_reg,
-                            needs_delta,
-                            &mut new_versions[idx],
-                        )?
-                    } else {
-                        self.repair_match(
-                            plan,
-                            idx,
-                            cached,
-                            upstream,
-                            v_old,
-                            v_reg,
-                            needs_delta,
-                            &mut new_versions[idx],
-                        )?
-                    }
+                None => self.repair_seed(&r, versions)?,
+                Some(upstream) if plan.steps[idx].dropout => {
+                    self.repair_dropout(&r, upstream, versions)?
                 }
+                Some(upstream) => self.repair_match(&r, upstream, versions)?,
             };
             new_steps[idx] = Some(CachedStep {
                 alias: cached.alias.clone(),
@@ -1353,20 +1285,17 @@ impl Portal {
     /// ones) and the delta rows are probed and appended.
     fn repair_seed(
         &self,
-        plan: &ExecutionPlan,
-        idx: usize,
-        cached: &CachedStep,
-        v_old: u64,
-        needs_delta: bool,
+        r: &StepRepair,
         versions: &mut [StepVersion],
     ) -> Result<(RepairedUpstream, Vec<u64>, StepStats)> {
-        let step = &plan.steps[idx];
-        let mut set = cached.set.clone();
-        let mut stats = cached.stats;
+        let step = &r.plan.steps[r.idx];
+        let mut set = r.cached.set.clone();
+        let mut stats = r.cached.stats;
         let old_len = set.tuples.len();
-        if needs_delta {
-            let (delta, chain, version) =
-                invoke_delta_step(&self.net, &self.host, &step.url, plan, idx, v_old, None)?;
+        if r.needs_delta {
+            let (delta, chain, version) = invoke_delta_step(
+                &self.net, &self.host, &step.url, r.plan, r.idx, r.v_old, None,
+            )?;
             if delta.columns != set.columns {
                 return Err(FederationError::protocol(
                     "delta seed schema diverged from the cached set",
@@ -1385,81 +1314,87 @@ impl Portal {
         Ok((RepairedUpstream { set, map, fresh }, src, stats))
     }
 
+    /// The two `DeltaStep` probes a match or drop-out repair sends: the
+    /// `kept` upstream tuples against only the rows inserted since the
+    /// cached version, then the fresh upstream tuples against the whole
+    /// table. Each reply is decoded as it arrives; an empty probe is not
+    /// sent. Folds the probes' stats into the cached step's and records
+    /// the version the probes observed.
+    fn probe_deltas<T>(
+        &self,
+        r: &StepRepair,
+        upstream: &RepairedUpstream,
+        kept: &[usize],
+        versions: &mut [StepVersion],
+        decode: impl Fn(PartialSet) -> Result<T>,
+    ) -> Result<(Option<T>, Option<T>, StepStats)> {
+        let url = &r.plan.steps[r.idx].url;
+        let mut stats = r.cached.stats;
+        let mut observed: Option<u64> = None;
+        let mut probe = |rows: &[usize], since: u64| -> Result<T> {
+            let input = tag_with_cache_src(&upstream.set, rows);
+            let (reply, chain, version) = invoke_delta_step(
+                &self.net,
+                &self.host,
+                url,
+                r.plan,
+                r.idx,
+                since,
+                Some(&Arc::new(input.encode())),
+            )?;
+            if observed.is_none() && r.needs_delta {
+                observed = Some(version);
+            }
+            stats = combine_delta_stats(stats, first_stats(&chain));
+            decode(reply)
+        };
+        let delta = if r.needs_delta && !kept.is_empty() {
+            Some(probe(kept, r.v_old)?)
+        } else {
+            None
+        };
+        let full = if !upstream.fresh.is_empty() {
+            Some(probe(&upstream.fresh, 0)?)
+        } else {
+            None
+        };
+        if r.needs_delta {
+            if let Some(v) = versions.first_mut() {
+                v.version = observed.unwrap_or(r.v_reg);
+            }
+        }
+        Ok((delta, full, stats))
+    }
+
     /// Repairs one match step. Surviving cached outputs are remapped to
     /// their inputs' new positions; kept inputs are probed against only
     /// the delta rows (their new extensions splice onto the end of
     /// their match groups — within a group candidates come out in row
     /// order, and delta rows have the highest row ids); fresh inputs
     /// are probed against the whole table.
-    #[allow(clippy::too_many_arguments)]
     fn repair_match(
         &self,
-        plan: &ExecutionPlan,
-        idx: usize,
-        cached: &CachedStep,
+        r: &StepRepair,
         upstream: RepairedUpstream,
-        v_old: u64,
-        v_reg: u64,
-        needs_delta: bool,
         versions: &mut [StepVersion],
     ) -> Result<(RepairedUpstream, Vec<u64>, StepStats)> {
-        let step = &plan.steps[idx];
-        let up_len = upstream.set.tuples.len();
-        let mut old_of_new: Vec<Option<usize>> = vec![None; up_len];
-        for (s, m) in upstream.map.iter().enumerate() {
-            if let Some(u) = m {
-                old_of_new[*u] = Some(s);
-            }
-        }
-        let kept: Vec<usize> = (0..up_len).filter(|u| old_of_new[*u].is_some()).collect();
+        let cached = r.cached;
+        let old_of_new = upstream.old_of_new();
+        let kept: Vec<usize> = (0..old_of_new.len())
+            .filter(|u| old_of_new[*u].is_some())
+            .collect();
         let mut old_groups: HashMap<u64, Vec<usize>> = HashMap::new();
         for (i, s) in cached.src.iter().enumerate() {
             old_groups.entry(*s).or_default().push(i);
         }
-
-        let mut stats = cached.stats;
-        let mut observed: Option<u64> = None;
-        let delta_groups = if needs_delta && !kept.is_empty() {
-            let input = tag_with_cache_src(&upstream.set, &kept);
-            let (reply, chain, version) = invoke_delta_step(
-                &self.net,
-                &self.host,
-                &step.url,
-                plan,
-                idx,
-                v_old,
-                Some(&Arc::new(input.encode())),
-            )?;
-            observed = Some(version);
-            stats = combine_delta_stats(stats, first_stats(&chain));
-            group_delta_reply(reply, &cached.set.columns)?
-        } else {
-            HashMap::new()
-        };
-        let full_groups = if !upstream.fresh.is_empty() {
-            let input = tag_with_cache_src(&upstream.set, &upstream.fresh);
-            let (reply, chain, version) = invoke_delta_step(
-                &self.net,
-                &self.host,
-                &step.url,
-                plan,
-                idx,
-                0,
-                Some(&Arc::new(input.encode())),
-            )?;
-            if observed.is_none() && needs_delta {
-                observed = Some(version);
-            }
-            stats = combine_delta_stats(stats, first_stats(&chain));
-            group_delta_reply(reply, &cached.set.columns)?
-        } else {
-            HashMap::new()
-        };
-        if needs_delta {
-            if let Some(v) = versions.first_mut() {
-                v.version = observed.unwrap_or(v_reg);
-            }
-        }
+        let (delta_groups, full_groups, mut stats) =
+            self.probe_deltas(r, &upstream, &kept, versions, |reply| {
+                group_delta_reply(reply, &cached.set.columns)
+            })?;
+        let (delta_groups, full_groups) = (
+            delta_groups.unwrap_or_default(),
+            full_groups.unwrap_or_default(),
+        );
 
         let mut tuples = Vec::new();
         let mut src: Vec<u64> = Vec::new();
@@ -1498,7 +1433,7 @@ impl Portal {
             columns: cached.set.columns.clone(),
             tuples,
         };
-        stats.tuples_in = up_len;
+        stats.tuples_in = old_of_new.len();
         stats.tuples_out = set.tuples.len();
         Ok((RepairedUpstream { set, map, fresh }, src, stats))
     }
@@ -1508,81 +1443,28 @@ impl Portal {
     /// against only the delta rows, tuples the cache already dropped
     /// stay dropped, and fresh upstream tuples are filtered against the
     /// whole table.
-    #[allow(clippy::too_many_arguments)]
     fn repair_dropout(
         &self,
-        plan: &ExecutionPlan,
-        idx: usize,
-        cached: &CachedStep,
+        r: &StepRepair,
         upstream: RepairedUpstream,
-        v_old: u64,
-        v_reg: u64,
-        needs_delta: bool,
         versions: &mut [StepVersion],
     ) -> Result<(RepairedUpstream, Vec<u64>, StepStats)> {
-        let step = &plan.steps[idx];
-        let up_len = upstream.set.tuples.len();
-        let mut old_of_new: Vec<Option<usize>> = vec![None; up_len];
-        for (s, m) in upstream.map.iter().enumerate() {
-            if let Some(u) = m {
-                old_of_new[*u] = Some(s);
-            }
-        }
+        let cached = r.cached;
+        let old_of_new = upstream.old_of_new();
         // A drop-out step passes each input through at most once.
         let mut old_out_of_src: HashMap<u64, usize> = HashMap::new();
         for (i, s) in cached.src.iter().enumerate() {
             old_out_of_src.insert(*s, i);
         }
-        let candidates: Vec<usize> = (0..up_len)
+        let candidates: Vec<usize> = (0..old_of_new.len())
             .filter(|u| old_of_new[*u].is_some_and(|s| old_out_of_src.contains_key(&(s as u64))))
             .collect();
-
-        let mut stats = cached.stats;
-        let mut observed: Option<u64> = None;
-        let survivors_delta: Option<std::collections::HashSet<u64>> =
-            if needs_delta && !candidates.is_empty() {
-                let input = tag_with_cache_src(&upstream.set, &candidates);
-                let (reply, chain, version) = invoke_delta_step(
-                    &self.net,
-                    &self.host,
-                    &step.url,
-                    plan,
-                    idx,
-                    v_old,
-                    Some(&Arc::new(input.encode())),
-                )?;
-                observed = Some(version);
-                stats = combine_delta_stats(stats, first_stats(&chain));
+        let (survivors_delta, survivors_full, mut stats) =
+            self.probe_deltas(r, &upstream, &candidates, versions, |reply| {
                 let (_, srcs) = strip_cache_src(reply)?;
-                Some(srcs.into_iter().collect())
-            } else {
-                None
-            };
-        let survivors_full: std::collections::HashSet<u64> = if !upstream.fresh.is_empty() {
-            let input = tag_with_cache_src(&upstream.set, &upstream.fresh);
-            let (reply, chain, version) = invoke_delta_step(
-                &self.net,
-                &self.host,
-                &step.url,
-                plan,
-                idx,
-                0,
-                Some(&Arc::new(input.encode())),
-            )?;
-            if observed.is_none() && needs_delta {
-                observed = Some(version);
-            }
-            stats = combine_delta_stats(stats, first_stats(&chain));
-            let (_, srcs) = strip_cache_src(reply)?;
-            srcs.into_iter().collect()
-        } else {
-            std::collections::HashSet::new()
-        };
-        if needs_delta {
-            if let Some(v) = versions.first_mut() {
-                v.version = observed.unwrap_or(v_reg);
-            }
-        }
+                Ok(srcs.into_iter().collect::<HashSet<u64>>())
+            })?;
+        let survivors_full = survivors_full.unwrap_or_default();
 
         let mut tuples = Vec::new();
         let mut src: Vec<u64> = Vec::new();
@@ -1615,132 +1497,9 @@ impl Portal {
             columns: cached.set.columns.clone(),
             tuples,
         };
-        stats.tuples_in = up_len;
+        stats.tuples_in = old_of_new.len();
         stats.tuples_out = set.tuples.len();
         Ok((RepairedUpstream { set, map, fresh }, src, stats))
-    }
-
-    /// Drives a plan with sharded steps from the Portal, seed to head.
-    /// Each step is scattered in parallel to the shards that own it
-    /// (`ScatterStep` calls), the shard outputs are merged
-    /// deterministically ([`crate::shard`]), and the merged set — held
-    /// in Portal memory — is both the next step's input and the chain's
-    /// checkpoint; shards retain no per-query state between steps.
-    ///
-    /// Under [`ChainMode::Recursive`] any failure aborts the submission
-    /// (the daisy chain's semantics). Under [`ChainMode::Checkpointed`]
-    /// the executor re-plans exactly like [`CheckpointedWalk`]: a
-    /// drop-out step that lost *some* shards degrades to the shards
-    /// that answered, a drop-out step that lost *all* shards is skipped
-    /// (unless residuals or carried columns route through it), and a
-    /// failing mandatory step is deferred behind the other mandatory
-    /// steps — resuming from the in-memory merged set without
-    /// re-running any committed step.
-    fn run_scatter_chain(
-        &self,
-        plan: &ExecutionPlan,
-        trace: &mut ExecutionTrace,
-        mode: ChainMode,
-    ) -> Result<(PartialSet, StatsChain, Degradation)> {
-        let mut remaining = plan.steps.clone();
-        let mut executed: Vec<String> = Vec::new();
-        let mut deferrals: HashMap<String, u64> = HashMap::new();
-        let mut current: Option<PartialSet> = None;
-        let mut stats = StatsChain::new();
-        let mut degradation = Degradation::default();
-        let mut recovering = false;
-        while let Some(idx) = remaining.len().checked_sub(1) {
-            let step = remaining[idx].clone();
-            let mut sub_plan = plan.clone();
-            sub_plan.steps = remaining.clone();
-            match self.scatter_step(&sub_plan, idx, current.as_ref(), mode, trace) {
-                Ok((set, st, deg)) => {
-                    stats.push(step.alias.clone(), st);
-                    let degraded = deg.degraded;
-                    degradation.absorb(deg);
-                    if recovering && !degraded {
-                        recovering = false;
-                        trace.push(
-                            "Portal",
-                            "resume",
-                            format!("chain resumed at {} ({} rows)", step.alias, set.len()),
-                        );
-                        self.net.record_node_event(&self.host, "resume");
-                    }
-                    if degraded {
-                        recovering = true;
-                    }
-                    current = Some(set);
-                    executed.push(step.alias.clone());
-                    remaining.pop();
-                }
-                Err(e) => {
-                    if mode == ChainMode::Recursive
-                        || !matches!(e, FederationError::NodeUnhealthy { .. })
-                    {
-                        return Err(e);
-                    }
-                    if step.dropout {
-                        // Optional archive entirely unreachable:
-                        // continue without its filter — unless the plan
-                        // routed residuals or carried columns through
-                        // it, where skipping would change the query's
-                        // meaning rather than its completeness.
-                        if !step.residual_sql.is_empty() || !step.carried.is_empty() {
-                            return Err(e);
-                        }
-                        trace.push(
-                            "Portal",
-                            "degraded",
-                            format!(
-                                "optional archive {} unreachable; continuing without its \
-                                 drop-out filter",
-                                step.alias
-                            ),
-                        );
-                        self.net.record_node_event(&self.host, "degraded");
-                        degradation.absorb(Degradation {
-                            degraded: true,
-                            dropped: vec![step.archive.clone()],
-                        });
-                        remaining.pop();
-                        recovering = true;
-                    } else {
-                        let first_mandatory = remaining
-                            .iter()
-                            .position(|s| !s.dropout)
-                            .expect("the failing step itself is mandatory");
-                        let tries = deferrals.entry(step.alias.clone()).or_insert(0);
-                        if *tries >= MAX_STEP_DEFERRALS || remaining.len() - first_mandatory < 2 {
-                            return Err(e);
-                        }
-                        *tries += 1;
-                        let failed = remaining.pop().expect("indexed above");
-                        remaining.insert(first_mandatory, failed);
-                        replace_residuals(&mut remaining, &executed)?;
-                        trace.push(
-                            "Portal",
-                            "replan",
-                            format!(
-                                "deferred {} after failure; new order: {}",
-                                step.alias,
-                                remaining
-                                    .iter()
-                                    .rev()
-                                    .map(|s| s.alias.as_str())
-                                    .collect::<Vec<_>>()
-                                    .join(" -> ")
-                            ),
-                        );
-                        self.net.record_node_event(&self.host, "replan");
-                        recovering = true;
-                    }
-                }
-            }
-        }
-        let set =
-            current.ok_or_else(|| FederationError::planning("scatter chain committed no steps"))?;
-        Ok((set, stats, degradation))
     }
 
     /// Scatters one step (`idx`, the tail of `plan.steps`) to its owning
@@ -1753,9 +1512,9 @@ impl Portal {
     /// discarded before the gather, so no duplicate rows can merge), and
     /// an unhealthy verdict fails over through the remaining siblings
     /// before the step is allowed to fail. The third return records
-    /// partial-result honesty: `degraded` with the lost shards named
-    /// `archive@host` when a drop-out step lost whole extents but was
-    /// answered from the rest (Checkpointed mode only).
+    /// partial-result honesty: the lost shards, named `archive@host`,
+    /// when a drop-out step lost whole extents but was answered from the
+    /// rest (Checkpointed mode only).
     fn scatter_step(
         &self,
         plan: &ExecutionPlan,
@@ -1763,7 +1522,7 @@ impl Portal {
         input: Option<&PartialSet>,
         mode: ChainMode,
         trace: &mut ExecutionTrace,
-    ) -> Result<(PartialSet, StepStats, Degradation)> {
+    ) -> Result<(PartialSet, StepStats, Option<Loss>)> {
         let step = &plan.steps[idx];
         // One entry per extent: the primary scatter target plus its
         // same-extent replicas (failover/hedge candidates).
@@ -1962,31 +1721,25 @@ impl Portal {
                 return Err(errs.swap_remove(fatal).1);
             }
             let lost: Vec<&str> = errs.iter().map(|(h, _)| h.as_str()).collect();
-            trace.push(
-                "Portal",
-                "degraded",
-                format!(
+            let loss = Loss {
+                detail: format!(
                     "drop-out {}: shard(s) {} unreachable; intersecting over {} answering \
                      shard(s)",
                     step.alias,
                     lost.join(", "),
                     parts.len()
                 ),
-            );
-            self.net.record_node_event(&self.host, "degraded");
+                dropped: lost
+                    .iter()
+                    .map(|h| format!("{}@{}", step.archive, h))
+                    .collect(),
+            };
             let (set, mut st) = shard::merge_dropout(&parts)?;
             st.shards_pruned += shards_pruned;
             st.failovers += failovers;
             st.hedges += hedges;
             st.hedge_wins += hedge_wins;
-            let degradation = Degradation {
-                degraded: true,
-                dropped: errs
-                    .iter()
-                    .map(|(h, _)| format!("{}@{}", step.archive, h))
-                    .collect(),
-            };
-            return Ok((set, st, degradation));
+            return Ok((set, st, Some(loss)));
         }
 
         let (set, mut st) = if !multi {
@@ -2020,7 +1773,7 @@ impl Portal {
                 ),
             );
         }
-        Ok((set, st, Degradation::default()))
+        Ok((set, st, None))
     }
 
     /// Runs the count-star performance queries, in parallel when
@@ -2313,57 +2066,90 @@ impl Portal {
     }
 }
 
-/// Portal-driven stepwise execution of one plan, one `ExecuteStep` call
-/// at a time ([`ChainMode::Checkpointed`]).
+/// Where a [`StepWalk`]'s committed prefix lives between steps.
+enum Committed {
+    /// A leased checkpoint on the node that executed the last step:
+    /// unsharded plans under [`ChainMode::Checkpointed`], one
+    /// `ExecuteStep` call per step. Only the checkpoint id, row count
+    /// and statistics travel back to the Portal.
+    Checkpoint(Option<(Url, u64)>),
+    /// The merged partial set, held in Portal memory: sharded plans and
+    /// the caching walk, one `ScatterStep` fan-out per step. The nodes
+    /// retain no per-query state between steps.
+    Memory(Option<PartialSet>),
+}
+
+/// What a caching walk records for the result cache: the authoritative
+/// table versions fetched before its first step, and each committed
+/// step's partial set with its per-tuple provenance, in execution order.
+struct CacheRecord {
+    before: Vec<Vec<StepVersion>>,
+    steps: Vec<CachedStep>,
+}
+
+/// What a degraded step lost: the trace detail and the dropped units
+/// (see [`Degradation::dropped`]).
+struct Loss {
+    detail: String,
+    dropped: Vec<String>,
+}
+
+/// The Portal-driven chain: one plan walked step by step from the seed
+/// to the head, each step's input being the committed output of the
+/// step before it — a leased checkpoint on the executing node for an
+/// unsharded plan under [`ChainMode::Checkpointed`], otherwise the
+/// merged set held in Portal memory.
 ///
 /// `Portal::submit` drives a walk to completion in a tight loop; the job
-/// service interleaves many walks — one [`CheckpointedWalk::step`] per
-/// scheduler quantum — so a long chain from one tenant cannot monopolize
-/// the Portal, and a cancellation between quanta can
-/// [release](CheckpointedWalk::release) the retained checkpoint
-/// immediately instead of leaking it until its lease lapses.
+/// service interleaves many walks — one [`StepWalk::step`] per scheduler
+/// quantum — so a long chain from one tenant cannot monopolize the
+/// Portal, and a cancellation between quanta can
+/// [release](StepWalk::release) a retained checkpoint immediately
+/// instead of leaking it until its lease lapses.
 ///
-/// Each successful step commits its partial set as a leased checkpoint
-/// on the executing node; only the checkpoint id, row count, and
-/// statistics travel back. On a mid-chain `NodeUnhealthy` failure the
-/// walk re-plans: a failing drop-out archive is skipped (`degraded`), a
-/// failing mandatory archive is deferred behind the other mandatory
-/// steps (`replan`) — in both cases execution resumes from the last good
-/// checkpoint without re-running any committed step.
-pub struct CheckpointedWalk {
+/// The recovery policy is the chain mode the walk was built under.
+/// [`ChainMode::Recursive`] fails fast, like the daisy chain. Under
+/// [`ChainMode::Checkpointed`] a mid-chain `NodeUnhealthy` failure
+/// re-plans: an unreachable drop-out archive is skipped (`degraded`), a
+/// drop-out step that lost only some shards is answered from the rest
+/// (`degraded`), and a failing mandatory step is deferred behind the
+/// other mandatory steps (`replan`) — in every case execution resumes
+/// from the committed prefix without re-running any committed step.
+pub struct StepWalk {
     plan: ExecutionPlan,
+    policy: ChainMode,
     /// Steps not yet executed, in plan-list order (drop-outs at the
     /// head); execution walks from the tail (the seed) toward the head.
     remaining: Vec<PlanStep>,
     executed: Vec<String>,
     deferrals: HashMap<String, u64>,
-    /// The last good checkpoint: where the committed prefix lives.
-    checkpoint: Option<(Url, u64)>,
+    committed: Committed,
+    /// Set on a caching walk only.
+    cache: Option<CacheRecord>,
     stats: StatsChain,
     degradation: Degradation,
     recovering: bool,
 }
 
-impl CheckpointedWalk {
-    /// A walk over `plan` with no steps executed yet.
-    pub fn new(plan: &ExecutionPlan) -> CheckpointedWalk {
-        CheckpointedWalk {
+impl StepWalk {
+    fn new(
+        plan: &ExecutionPlan,
+        policy: ChainMode,
+        committed: Committed,
+        cache: Option<CacheRecord>,
+    ) -> StepWalk {
+        StepWalk {
             plan: plan.clone(),
+            policy,
             remaining: plan.steps.clone(),
             executed: Vec::new(),
             deferrals: HashMap::new(),
-            checkpoint: None,
+            committed,
+            cache,
             stats: StatsChain::new(),
             degradation: Degradation::default(),
             recovering: false,
         }
-    }
-
-    /// What this walk has dropped so far: read it before
-    /// [`CheckpointedWalk::finish`] consumes the walk, so the caller can
-    /// stamp partial-result honesty onto whatever it relays.
-    pub fn degradation(&self) -> &Degradation {
-        &self.degradation
     }
 
     /// Whether every step has executed (or been skipped as degraded).
@@ -2371,38 +2157,73 @@ impl CheckpointedWalk {
         self.remaining.is_empty()
     }
 
-    /// Steps not yet executed.
-    pub fn steps_remaining(&self) -> usize {
-        self.remaining.len()
-    }
-
-    /// Aliases of the steps already committed, in execution order.
-    pub fn executed(&self) -> &[String] {
-        &self.executed
-    }
-
     /// Executes (or re-plans around) the next step of the chain. A
     /// returned error is fatal for the walk: the caller should
-    /// [release](CheckpointedWalk::release) the retained checkpoint and
-    /// abandon the query.
+    /// [release](StepWalk::release) the committed prefix and abandon the
+    /// query.
     pub fn step(&mut self, portal: &Portal, trace: &mut ExecutionTrace) -> Result<()> {
-        let idx = match self.remaining.len().checked_sub(1) {
-            Some(i) => i,
-            None => return Ok(()),
+        let Some(idx) = self.remaining.len().checked_sub(1) else {
+            return Ok(());
         };
         let step = self.remaining[idx].clone();
         let mut sub_plan = self.plan.clone();
         sub_plan.steps = self.remaining.clone();
-        let mut call = RpcCall::new("ExecuteStep")
-            .param("plan", SoapValue::Xml(sub_plan.to_element()))
-            .param("step", SoapValue::Int(idx as i64));
-        if let Some((cp_url, cp_id)) = &self.checkpoint {
-            call = call
-                .param("checkpoint_url", SoapValue::Str(cp_url.to_string()))
-                .param("checkpoint_id", SoapValue::Int(*cp_id as i64));
+        let (stats, loss, rows) = match self.advance(portal, &sub_plan, idx, trace) {
+            Ok(committed) => committed,
+            Err(e) => return self.recover(portal, &step, e, trace),
+        };
+        self.stats.entries.extend(stats.entries);
+        match loss {
+            Some(loss) => self.degrade(portal, loss, trace),
+            None if self.recovering => {
+                self.recovering = false;
+                trace.push(
+                    "Portal",
+                    "resume",
+                    format!("chain resumed at {} ({rows})", step.alias),
+                );
+                portal.net.record_node_event(&portal.host, "resume");
+            }
+            None => {}
         }
-        match send_rpc_with(&portal.net, &portal.host, &step.url, &call, self.plan.retry) {
-            Ok(resp) => {
+        self.executed.push(step.alias);
+        self.remaining.pop();
+        Ok(())
+    }
+
+    /// Runs step `idx` of `plan` (the remaining steps) on top of the
+    /// committed prefix and commits its output in the prefix's place.
+    /// Returns the step's statistics, what it lost, and a row note for
+    /// the resume event.
+    fn advance(
+        &mut self,
+        portal: &Portal,
+        plan: &ExecutionPlan,
+        idx: usize,
+        trace: &mut ExecutionTrace,
+    ) -> Result<(StatsChain, Option<Loss>, String)> {
+        let step = &plan.steps[idx];
+        match &mut self.committed {
+            Committed::Checkpoint(prefix) => {
+                let mut call = RpcCall::new("ExecuteStep")
+                    .param("plan", SoapValue::Xml(plan.to_element()))
+                    .param("step", SoapValue::Int(idx as i64));
+                if let Some((cp_url, cp_id)) = prefix.as_ref() {
+                    call = call
+                        .param("checkpoint_url", SoapValue::Str(cp_url.to_string()))
+                        .param("checkpoint_id", SoapValue::Int(*cp_id as i64));
+                }
+                let resp =
+                    match send_rpc_with(&portal.net, &portal.host, &step.url, &call, plan.retry) {
+                        Ok(resp) => resp,
+                        Err(e) => {
+                            if matches!(e, FederationError::NodeUnhealthy { .. }) {
+                                portal.note_failure(&e);
+                                renew_checkpoint(portal, prefix.as_ref(), trace);
+                            }
+                            return Err(e);
+                        }
+                    };
                 let cp_id = resp
                     .require("checkpoint")?
                     .as_i64()
@@ -2416,13 +2237,12 @@ impl CheckpointedWalk {
                         .as_xml()
                         .ok_or_else(|| FederationError::protocol("stats must be xml"))?,
                 )?;
-                self.stats.entries.extend(chain.entries);
-                // The new checkpoint supersedes the previous one:
-                // release it best-effort (if the holder is
-                // unreachable, its janitor reclaims the lease) — but a
-                // failed release is tallied, never swallowed: the
-                // checkpoint pins node memory until its TTL.
-                if let Some((prev_url, prev_id)) = self.checkpoint.take() {
+                // The new checkpoint supersedes the previous one: release
+                // it best-effort (if the holder is unreachable, its
+                // janitor reclaims the lease) — but a failed release is
+                // tallied, never swallowed: the checkpoint pins node
+                // memory until its TTL.
+                if let Some((prev_url, prev_id)) = prefix.replace((step.url.clone(), cp_id)) {
                     if release_checkpoint(
                         &portal.net,
                         &portal.host,
@@ -2435,155 +2255,228 @@ impl CheckpointedWalk {
                         note_release_failure(portal, &prev_url.host, prev_id, Some(trace));
                     }
                 }
-                self.checkpoint = Some((step.url.clone(), cp_id));
                 portal.note_healthy(&step.url.host);
-                if self.recovering {
-                    self.recovering = false;
-                    trace.push(
-                        "Portal",
-                        "resume",
-                        format!(
-                            "chain resumed at {} (checkpoint {cp_id}, {rows} rows)",
-                            step.alias
-                        ),
-                    );
-                    portal.net.record_node_event(&portal.host, "resume");
-                }
-                self.executed.push(step.alias.clone());
-                self.remaining.pop();
-                Ok(())
+                Ok((chain, None, format!("checkpoint {cp_id}, {rows} rows")))
             }
-            Err(e) => {
-                if !matches!(e, FederationError::NodeUnhealthy { .. }) {
-                    return Err(e);
-                }
-                portal.note_failure(&e);
-                // Keep the surviving prefix alive while re-planning. A
-                // renewal that cannot be delivered is tallied: the
-                // checkpoint keeps its old deadline and may lapse
-                // before the re-planned chain returns to it.
-                if let Some((cp_url, cp_id)) = &self.checkpoint {
-                    if renew_lease(
-                        &portal.net,
-                        &portal.host,
-                        cp_url,
-                        "checkpoint",
-                        *cp_id,
-                        RetryPolicy::none(),
-                    )
-                    .is_err()
-                    {
-                        portal.net.record_renew_failure();
-                        portal.net.record_node_event(&portal.host, "renew-failed");
-                        trace.push(
-                            "Portal",
-                            "renew failed",
-                            format!(
-                                "checkpoint {cp_id} lease on {} not renewed; it may lapse \
-                                 before the re-planned chain resumes",
-                                cp_url.host
-                            ),
-                        );
+            Committed::Memory(prefix) => {
+                // A caching walk tags each input tuple with its index
+                // and strips the tag from the output: the provenance a
+                // later incremental repair keys on.
+                let tagged = match (&self.cache, prefix.as_ref()) {
+                    (Some(_), Some(set)) => {
+                        let all: Vec<usize> = (0..set.tuples.len()).collect();
+                        Some(tag_with_cache_src(set, &all))
                     }
-                }
-                if step.dropout {
-                    // A drop-out archive is optional: continue without
-                    // it and flag the result as degraded — unless the
-                    // plan routed residuals or carried columns through
-                    // it, where skipping would change the query's
-                    // meaning rather than its completeness.
-                    if !step.residual_sql.is_empty() || !step.carried.is_empty() {
-                        return Err(e);
+                    _ => None,
+                };
+                let input = tagged.as_ref().or(prefix.as_ref());
+                let (set, st, loss) = portal.scatter_step(plan, idx, input, self.policy, trace)?;
+                let set = match self.cache.as_mut() {
+                    Some(record) => {
+                        let (clean, src) = if tagged.is_some() {
+                            strip_cache_src(set)?
+                        } else {
+                            let src = (0..set.len() as u64).collect();
+                            (set, src)
+                        };
+                        record.steps.push(CachedStep {
+                            alias: step.alias.clone(),
+                            set: clean.clone(),
+                            src,
+                            stats: st,
+                        });
+                        clean
                     }
-                    trace.push(
-                        "Portal",
-                        "degraded",
-                        format!(
-                            "optional archive {} unreachable; continuing without its \
-                             drop-out filter",
-                            step.alias
-                        ),
-                    );
-                    portal.net.record_node_event(&portal.host, "degraded");
-                    self.degradation.absorb(Degradation {
-                        degraded: true,
-                        dropped: vec![step.archive.clone()],
+                    None => set,
+                };
+                let rows = format!("{} rows", set.len());
+                *prefix = Some(set);
+                let mut chain = StatsChain::new();
+                chain.push(step.alias.clone(), st);
+                Ok((chain, loss, rows))
+            }
+        }
+    }
+
+    /// The recovery half of the state machine: decides whether the
+    /// failure of `step` is survivable under the walk's policy and, if
+    /// so, re-plans the remaining steps around it.
+    fn recover(
+        &mut self,
+        portal: &Portal,
+        step: &PlanStep,
+        e: FederationError,
+        trace: &mut ExecutionTrace,
+    ) -> Result<()> {
+        if self.policy == ChainMode::Recursive
+            || !matches!(e, FederationError::NodeUnhealthy { .. })
+        {
+            return Err(e);
+        }
+        if step.dropout {
+            // A drop-out archive is optional: continue without it and
+            // flag the result as degraded — unless the plan routed
+            // residuals or carried columns through it, where skipping
+            // would change the query's meaning rather than its
+            // completeness.
+            if !step.residual_sql.is_empty() || !step.carried.is_empty() {
+                return Err(e);
+            }
+            self.remaining.pop();
+            let loss = Loss {
+                detail: format!(
+                    "optional archive {} unreachable; continuing without its drop-out filter",
+                    step.alias
+                ),
+                dropped: vec![step.archive.clone()],
+            };
+            self.degrade(portal, loss, trace);
+            return Ok(());
+        }
+        // A failing mandatory step is deferred to the earliest mandatory
+        // slot (it will execute last); the node may recover meanwhile.
+        let first_mandatory = self
+            .remaining
+            .iter()
+            .position(|s| !s.dropout)
+            .expect("the failing step itself is mandatory");
+        let tries = self.deferrals.entry(step.alias.clone()).or_insert(0);
+        if *tries >= MAX_STEP_DEFERRALS || self.remaining.len() - first_mandatory < 2 {
+            return Err(e);
+        }
+        *tries += 1;
+        let failed = self.remaining.pop().expect("the failing step is remaining");
+        self.remaining.insert(first_mandatory, failed);
+        replace_residuals(&mut self.remaining, &self.executed)?;
+        trace.push(
+            "Portal",
+            "replan",
+            format!(
+                "deferred {} after failure; new order: {}",
+                step.alias,
+                self.remaining
+                    .iter()
+                    .rev()
+                    .map(|s| s.alias.as_str())
+                    .collect::<Vec<_>>()
+                    .join(" -> ")
+            ),
+        );
+        portal.net.record_node_event(&portal.host, "replan");
+        self.recovering = true;
+        Ok(())
+    }
+
+    /// Records partial-result honesty for a lost archive or shards; the
+    /// next undegraded commit is the resume point.
+    fn degrade(&mut self, portal: &Portal, loss: Loss, trace: &mut ExecutionTrace) {
+        trace.push("Portal", "degraded", loss.detail);
+        portal.net.record_node_event(&portal.host, "degraded");
+        self.degradation.absorb(Degradation {
+            degraded: true,
+            dropped: loss.dropped,
+        });
+        self.recovering = true;
+    }
+
+    /// Collects the committed prefix — the matched partial set — plus the
+    /// walk's statistics and what it dropped. A node checkpoint is
+    /// fetched and released (best-effort, even when collection fails: a
+    /// dead walk must not pin node resources until a janitor sweep); a
+    /// caching walk caches what it recorded.
+    pub fn finish(
+        mut self,
+        portal: &Portal,
+        trace: &mut ExecutionTrace,
+    ) -> Result<(PartialSet, StatsChain, Degradation)> {
+        let no_steps = || FederationError::planning("step walk committed no steps");
+        let set = match &mut self.committed {
+            Committed::Checkpoint(prefix) => {
+                let (url, id) = prefix.take().ok_or_else(no_steps)?;
+                let collected = open_checkpoint(&portal.net, &portal.host, &url, &self.plan, id)
+                    .and_then(|incoming| match incoming {
+                        IncomingPartial::Inline(set) => Ok(set),
+                        IncomingPartial::Chunked(stream) => stream.collect_set(),
                     });
-                    self.remaining.pop();
-                    self.recovering = true;
-                    Ok(())
-                } else {
-                    // A failing mandatory step is deferred to the
-                    // earliest mandatory slot (it will execute last);
-                    // the node may recover in the meantime.
-                    let first_mandatory = self
-                        .remaining
-                        .iter()
-                        .position(|s| !s.dropout)
-                        .expect("the failing step itself is mandatory");
-                    let tries = self.deferrals.entry(step.alias.clone()).or_insert(0);
-                    if *tries >= MAX_STEP_DEFERRALS || self.remaining.len() - first_mandatory < 2 {
-                        return Err(e);
-                    }
-                    *tries += 1;
-                    let failed = self.remaining.pop().expect("indexed above");
-                    self.remaining.insert(first_mandatory, failed);
-                    replace_residuals(&mut self.remaining, &self.executed)?;
-                    trace.push(
-                        "Portal",
-                        "replan",
-                        format!(
-                            "deferred {} after failure; new order: {}",
-                            step.alias,
-                            self.remaining
-                                .iter()
-                                .rev()
-                                .map(|s| s.alias.as_str())
-                                .collect::<Vec<_>>()
-                                .join(" -> ")
-                        ),
-                    );
-                    portal.net.record_node_event(&portal.host, "replan");
-                    self.recovering = true;
-                    Ok(())
+                if release_checkpoint(&portal.net, &portal.host, &url, id, RetryPolicy::none())
+                    .is_err()
+                {
+                    note_release_failure(portal, &url.host, id, None);
                 }
+                collected?
+            }
+            Committed::Memory(prefix) => prefix.take().ok_or_else(no_steps)?,
+        };
+        if let Some(record) = self.cache.take() {
+            portal.populate_cache(&self.plan, record, trace)?;
+        }
+        Ok((set, self.stats, self.degradation))
+    }
+
+    /// Drives the walk to completion; a failed walk releases its
+    /// committed prefix before the error returns.
+    fn run(
+        mut self,
+        portal: &Portal,
+        trace: &mut ExecutionTrace,
+    ) -> Result<(PartialSet, StatsChain, Degradation)> {
+        while !self.is_done() {
+            if let Err(e) = self.step(portal, trace) {
+                // The committed prefix will never be resumed: free it now
+                // instead of waiting for the holder's janitor.
+                self.release(portal);
+                return Err(e);
             }
         }
+        self.finish(portal, trace)
     }
 
-    /// Collects the final checkpoint (the matched partial set) and
-    /// releases it. The checkpoint is freed best-effort even when
-    /// collection fails — a dead walk must not pin node resources until
-    /// a janitor sweep.
-    pub fn finish(mut self, portal: &Portal) -> Result<(PartialSet, StatsChain)> {
-        let (url, id) = self
-            .checkpoint
-            .take()
-            .ok_or_else(|| FederationError::planning("checkpointed chain committed no steps"))?;
-        let collected =
-            open_checkpoint(&portal.net, &portal.host, &url, &self.plan, id).and_then(|incoming| {
-                match incoming {
-                    IncomingPartial::Inline(set) => Ok(set),
-                    IncomingPartial::Chunked(stream) => stream.collect_set(),
-                }
-            });
-        if release_checkpoint(&portal.net, &portal.host, &url, id, RetryPolicy::none()).is_err() {
-            note_release_failure(portal, &url.host, id, None);
-        }
-        Ok((collected?, self.stats))
-    }
-
-    /// Best-effort release of the retained checkpoint — the cleanup path
-    /// for a failed or cancelled walk. Idempotent; if the holder is
-    /// unreachable, its janitor reclaims the lease at TTL instead, but
-    /// the failed call is still tallied in the network metrics.
+    /// Best-effort release of a retained checkpoint — the cleanup path
+    /// for a failed or cancelled walk. Idempotent, and a no-op for a
+    /// prefix held in Portal memory; if the holder is unreachable, its
+    /// janitor reclaims the lease at TTL instead, but the failed call is
+    /// still tallied in the network metrics.
     pub fn release(&mut self, portal: &Portal) {
-        if let Some((url, id)) = self.checkpoint.take() {
-            if release_checkpoint(&portal.net, &portal.host, &url, id, RetryPolicy::none()).is_err()
-            {
-                note_release_failure(portal, &url.host, id, None);
+        if let Committed::Checkpoint(prefix) = &mut self.committed {
+            if let Some((url, id)) = prefix.take() {
+                if release_checkpoint(&portal.net, &portal.host, &url, id, RetryPolicy::none())
+                    .is_err()
+                {
+                    note_release_failure(portal, &url.host, id, None);
+                }
             }
         }
+    }
+}
+
+/// Keeps a checkpointed prefix alive while the walk re-plans. A renewal
+/// that cannot be delivered is tallied: the checkpoint keeps its old
+/// deadline and may lapse before the re-planned chain returns to it.
+fn renew_checkpoint(portal: &Portal, prefix: Option<&(Url, u64)>, trace: &mut ExecutionTrace) {
+    let Some((cp_url, cp_id)) = prefix else {
+        return;
+    };
+    if renew_lease(
+        &portal.net,
+        &portal.host,
+        cp_url,
+        "checkpoint",
+        *cp_id,
+        RetryPolicy::none(),
+    )
+    .is_err()
+    {
+        portal.net.record_renew_failure();
+        portal.net.record_node_event(&portal.host, "renew-failed");
+        trace.push(
+            "Portal",
+            "renew failed",
+            format!(
+                "checkpoint {cp_id} lease on {} not renewed; it may lapse before the \
+                 re-planned chain resumes",
+                cp_url.host
+            ),
+        );
     }
 }
 
@@ -2722,6 +2615,32 @@ struct RepairedUpstream {
     set: PartialSet,
     map: Vec<Option<usize>>,
     fresh: Vec<usize>,
+}
+
+impl RepairedUpstream {
+    /// The inverse of `map`: for each repaired row, the old cached row
+    /// it was (`None` for a fresh row).
+    fn old_of_new(&self) -> Vec<Option<usize>> {
+        let mut old_of_new = vec![None; self.set.tuples.len()];
+        for (old, new) in self.map.iter().enumerate() {
+            if let Some(new) = new {
+                old_of_new[*new] = Some(old);
+            }
+        }
+        old_of_new
+    }
+}
+
+/// One step's repair inputs: the cached step, the version it was cached
+/// at (`v_old`), the registry's current version (`v_reg`), and whether
+/// rows were inserted in between.
+struct StepRepair<'a> {
+    plan: &'a ExecutionPlan,
+    idx: usize,
+    cached: &'a CachedStep,
+    v_old: u64,
+    v_reg: u64,
+    needs_delta: bool,
 }
 
 // Crate-internal accessors for the baseline strategies (baseline.rs).

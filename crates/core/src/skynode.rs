@@ -673,7 +673,7 @@ impl SkyNode {
     /// the step against the zone range it owns, and the output travels
     /// straight back (inline or chunked). Unlike `ExecuteStep`, no
     /// checkpoint is retained here — the Portal's merged set between
-    /// steps *is* the scatter chain's checkpoint, so a shard holds no
+    /// steps *is* the step walk's committed prefix, so a shard holds no
     /// per-query state beyond a chunked-reply transfer session.
     fn handle_scatter_step(&self, net: &SimNetwork, call: &RpcCall) -> Result<RpcResponse> {
         let (plan, step) = self.decode_plan_step(call)?;

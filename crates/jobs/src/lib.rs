@@ -17,10 +17,11 @@
 //!   retried), and a start-time fair-queuing scheduler
 //!   ([`FairScheduler`]) drains the queue into a bounded pool of chain
 //!   executions, weighting tenants by [`QuotaClass`].
-//! - Running jobs interleave: each scheduler quantum drives one
-//!   checkpointed-chain step
-//!   ([`CheckpointedWalk`](skyquery_core::portal::CheckpointedWalk)), so
-//!   one tenant's long chain cannot monopolize the Portal.
+//! - Running jobs interleave: each scheduler quantum drives one step of
+//!   a Portal-driven chain ([`StepWalk`](skyquery_core::StepWalk)) —
+//!   checkpointed or scattered, sharded plans included — so one
+//!   tenant's long chain cannot monopolize the Portal. Only the paper's
+//!   unsharded recursive daisy chain runs in one quantum.
 //! - Finished results, terminal records, and paginated result transfers
 //!   all live under [`LeaseTable`](skyquery_core::LeaseTable) TTLs swept
 //!   by a janitor; cancellation releases checkpoints and transfers

@@ -6,12 +6,14 @@
 //! simulation. `SubmitQuery` parks the query in a bounded per-tenant
 //! queue and answers immediately with a job id; a weighted-fair scheduler
 //! drains the queue into a bounded pool of chain executions (reusing the
-//! Portal's `ChainMode` machinery — one [`CheckpointedWalk`] quantum per
-//! scheduler turn, so a long chain from one tenant cannot monopolize the
-//! Portal); `PollJob` reports progress; `FetchResults` delivers the
-//! VOTable, paginated through the same zone-chunk transfer machinery the
-//! daisy chain uses; `CancelJob` releases retained checkpoints and
-//! transfer sessions *immediately*, not at lease TTL.
+//! Portal's `ChainMode` machinery — one [`StepWalk`] step per scheduler
+//! turn, sharded plans included, so a long chain from one tenant cannot
+//! monopolize the Portal; only the paper's unsharded recursive daisy
+//! chain runs in one quantum); `PollJob` reports progress;
+//! `FetchResults` delivers the VOTable, paginated through the same
+//! zone-chunk transfer machinery the daisy chain uses; `CancelJob`
+//! releases retained checkpoints and transfer sessions *immediately*,
+//! not at lease TTL.
 //!
 //! Every resource a finished job pins — the result rows, the terminal
 //! record, open result transfers — lives in a [`LeaseTable`] swept at the
@@ -25,11 +27,11 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use skyquery_core::error::{FederationError, Result};
 use skyquery_core::plan::ExecutionPlan;
-use skyquery_core::portal::CheckpointedWalk;
 use skyquery_core::result::ResultSet;
 use skyquery_core::service::ServiceMethod;
-use skyquery_core::trace::ExecutionTrace;
-use skyquery_core::{ChainMode, LeaseTable, Portal};
+use skyquery_core::trace::{ExecutionTrace, StatsChain};
+use skyquery_core::xmatch::PartialSet;
+use skyquery_core::{Degradation, LeaseTable, Portal, StepWalk};
 use skyquery_net::{Endpoint, HttpRequest, HttpResponse, SimNetwork, Url};
 use skyquery_soap::{
     ChunkHeader, ChunkManifest, MessageLimits, Operation, RpcCall, RpcResponse, SoapValue,
@@ -123,8 +125,8 @@ enum ExecPhase {
     Pending,
     /// Planned; the chain has not fired.
     Planned(Box<ExecutionPlan>),
-    /// Mid-walk through a checkpointed chain.
-    Walking(Box<ExecutionPlan>, Box<CheckpointedWalk>),
+    /// Mid-walk through a Portal-driven chain.
+    Walking(Box<ExecutionPlan>, Box<StepWalk>),
     /// Terminal; nothing left to drive.
     Done,
 }
@@ -673,130 +675,22 @@ impl JobService {
                 // A cache hit (or incremental repair) skips the chain
                 // walk entirely — the whole execution fits one quantum
                 // regardless of chain mode.
-                Some((set, stats)) => {
-                    for (alias, s) in &stats.entries {
-                        job.trace.push(
-                            alias.clone(),
-                            "cross match step",
-                            format!("tuples in {}, tuples out {}", s.tuples_in, s.tuples_out),
-                        );
-                    }
-                    match Portal::project_result(&plan, set) {
-                        Ok(rs) => SliceOutcome::Succeeded(rs),
-                        Err(e) => SliceOutcome::Failed(e),
-                    }
-                }
-                None => match self.portal.config().chain_mode {
-                    // A plan addressing sharded or replicated archives is
-                    // driven by the Portal's scatter executor whatever the
-                    // chain mode — a node-to-node walk cannot express a
-                    // scatter — so, like the recursive daisy chain, it
-                    // runs to completion in one quantum.
-                    _ if plan.has_shards() => {
-                        match self.portal.execute_plan(&plan, &mut job.trace) {
-                            Ok((set, stats, degradation)) => {
-                                for (alias, s) in &stats.entries {
-                                    job.trace.push(
-                                        alias.clone(),
-                                        "cross match step",
-                                        format!(
-                                            "tuples in {}, tuples out {}",
-                                            s.tuples_in, s.tuples_out
-                                        ),
-                                    );
-                                }
-                                match Portal::project_result(&plan, set) {
-                                    Ok(mut rs) => {
-                                        rs.degraded = degradation.degraded;
-                                        rs.dropped_archives = degradation.dropped;
-                                        SliceOutcome::Succeeded(rs)
-                                    }
-                                    Err(e) => SliceOutcome::Failed(e),
-                                }
-                            }
-                            Err(e) => SliceOutcome::Failed(e),
-                        }
-                    }
-                    ChainMode::Recursive => {
-                        // The paper's daisy chain is a single synchronous
-                        // recursion — one quantum runs it to completion.
-                        match self.portal.execute_plan(&plan, &mut job.trace) {
-                            Ok((set, stats, degradation)) => {
-                                for (alias, s) in &stats.entries {
-                                    job.trace.push(
-                                        alias.clone(),
-                                        "cross match step",
-                                        format!(
-                                            "tuples in {}, tuples out {}",
-                                            s.tuples_in, s.tuples_out
-                                        ),
-                                    );
-                                }
-                                match Portal::project_result(&plan, set) {
-                                    Ok(mut rs) => {
-                                        rs.degraded = degradation.degraded;
-                                        rs.dropped_archives = degradation.dropped;
-                                        SliceOutcome::Succeeded(rs)
-                                    }
-                                    Err(e) => SliceOutcome::Failed(e),
-                                }
-                            }
-                            Err(e) => SliceOutcome::Failed(e),
-                        }
-                    }
-                    ChainMode::Checkpointed => {
-                        let mut walk = CheckpointedWalk::new(&plan);
-                        match walk.step(&self.portal, &mut job.trace) {
-                            Ok(()) => {
-                                SliceOutcome::Continue(ExecPhase::Walking(plan, Box::new(walk)))
-                            }
-                            Err(e) => {
-                                walk.release(&self.portal);
-                                SliceOutcome::Failed(e)
-                            }
-                        }
+                Some((set, stats)) => conclude(
+                    &plan,
+                    &mut job.trace,
+                    Ok((set, stats, Degradation::default())),
+                ),
+                None => match self.portal.step_walk(&plan) {
+                    Some(walk) => self.walk_slice(plan, Box::new(walk), &mut job.trace),
+                    // The paper's daisy chain is a single synchronous
+                    // recursion — one quantum runs it to completion.
+                    None => {
+                        let run = self.portal.execute_plan(&plan, &mut job.trace);
+                        conclude(&plan, &mut job.trace, run)
                     }
                 },
             },
-            ExecPhase::Walking(plan, mut walk) => {
-                if walk.is_done() {
-                    // Read the honesty record before `finish` consumes
-                    // the walk: a degraded walk must relay its partial
-                    // flag, not a silently complete-looking answer.
-                    let degradation = walk.degradation().clone();
-                    match walk.finish(&self.portal) {
-                        Ok((set, stats)) => {
-                            for (alias, s) in &stats.entries {
-                                job.trace.push(
-                                    alias.clone(),
-                                    "cross match step",
-                                    format!(
-                                        "tuples in {}, tuples out {}",
-                                        s.tuples_in, s.tuples_out
-                                    ),
-                                );
-                            }
-                            match Portal::project_result(&plan, set) {
-                                Ok(mut rs) => {
-                                    rs.degraded = degradation.degraded;
-                                    rs.dropped_archives = degradation.dropped;
-                                    SliceOutcome::Succeeded(rs)
-                                }
-                                Err(e) => SliceOutcome::Failed(e),
-                            }
-                        }
-                        Err(e) => SliceOutcome::Failed(e),
-                    }
-                } else {
-                    match walk.step(&self.portal, &mut job.trace) {
-                        Ok(()) => SliceOutcome::Continue(ExecPhase::Walking(plan, walk)),
-                        Err(e) => {
-                            walk.release(&self.portal);
-                            SliceOutcome::Failed(e)
-                        }
-                    }
-                }
-            }
+            ExecPhase::Walking(plan, walk) => self.walk_slice(plan, walk, &mut job.trace),
             ExecPhase::Done => SliceOutcome::Continue(ExecPhase::Done),
         };
 
@@ -873,6 +767,27 @@ impl JobService {
                 st.records.insert(id, id, now, config.record_ttl_s);
                 self.net.record_job_finished(&tenant, "failed", run_s);
                 true
+            }
+        }
+    }
+
+    /// One quantum of a step walk: the next step, or — once every step
+    /// has run — collecting the answer.
+    fn walk_slice(
+        &self,
+        plan: Box<ExecutionPlan>,
+        mut walk: Box<StepWalk>,
+        trace: &mut ExecutionTrace,
+    ) -> SliceOutcome {
+        if walk.is_done() {
+            let run = walk.finish(&self.portal, trace);
+            return conclude(&plan, trace, run);
+        }
+        match walk.step(&self.portal, trace) {
+            Ok(()) => SliceOutcome::Continue(ExecPhase::Walking(plan, walk)),
+            Err(e) => {
+                walk.release(&self.portal);
+                SliceOutcome::Failed(e)
             }
         }
     }
@@ -1068,6 +983,36 @@ enum SliceOutcome {
     Continue(ExecPhase),
     Succeeded(ResultSet),
     Failed(FederationError),
+}
+
+/// Ends a job's execution: traces each step's row flow, applies the
+/// plan's final projection, and stamps partial-result honesty on the
+/// answer — a degraded run relays its partial flag, never a silently
+/// complete-looking answer.
+fn conclude(
+    plan: &ExecutionPlan,
+    trace: &mut ExecutionTrace,
+    run: Result<(PartialSet, StatsChain, Degradation)>,
+) -> SliceOutcome {
+    let (set, stats, degradation) = match run {
+        Ok(run) => run,
+        Err(e) => return SliceOutcome::Failed(e),
+    };
+    for (alias, s) in &stats.entries {
+        trace.push(
+            alias.clone(),
+            "cross match step",
+            format!("tuples in {}, tuples out {}", s.tuples_in, s.tuples_out),
+        );
+    }
+    match Portal::project_result(plan, set) {
+        Ok(mut rs) => {
+            rs.degraded = degradation.degraded;
+            rs.dropped_archives = degradation.dropped;
+            SliceOutcome::Succeeded(rs)
+        }
+        Err(e) => SliceOutcome::Failed(e),
+    }
 }
 
 impl Endpoint for JobService {

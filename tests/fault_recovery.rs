@@ -457,7 +457,7 @@ fn fully_drained_stream_sends_no_abort() {
         IncomingPartial::Inline(_) => panic!("tiny budget must force chunking"),
     };
     let set = stream.collect_set().unwrap();
-    assert!(set.tuples.len() > 0);
+    assert!(!set.tuples.is_empty());
     // The sender freed the transfer on the last chunk; no abort traffic.
     assert!(node.open_transfers().is_empty());
     assert_eq!(

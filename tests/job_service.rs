@@ -15,6 +15,9 @@
 //!   unfetched result decays `Succeeded → Expired` at its TTL;
 //! * cancelling an in-flight checkpointed chain releases every retained
 //!   checkpoint and transfer session immediately — no TTL wait;
+//! * a sharded plan is sliced like any other walk: one scattered step
+//!   per quantum, the synchronous Portal's answer, and no node state
+//!   left behind by a cancellation mid-walk;
 //! * the generated WSDL describes every job method.
 
 use std::sync::Arc;
@@ -511,4 +514,66 @@ fn degraded_jobs_flag_partial_results_on_poll_and_fetch() {
     assert!(!st.degraded);
     assert!(st.dropped_archives.is_empty());
     assert!(!cli2.fetch(id2).unwrap().degraded);
+}
+
+/// Sharded plans are fair-queued too: a 2-shard × 2-replica checkpointed
+/// job runs one scattered step per scheduler quantum instead of the
+/// whole chain in one, still answers exactly what the synchronous Portal
+/// does, and a job cancelled mid-walk leaves nothing behind on any node.
+#[test]
+fn sharded_jobs_walk_one_scattered_step_per_quantum() {
+    let sharded = || {
+        let fed = FederationBuilder::paper_triple(200)
+            .shards(2)
+            .replicas(2)
+            .build();
+        fed.portal.set_config(FederationConfig {
+            chain_mode: ChainMode::Checkpointed,
+            ..fed.portal.config()
+        });
+        fed
+    };
+    let (reference, _) = sharded().portal.submit(ordered_three_sql()).unwrap();
+    let fed = sharded();
+    let svc = job_service(&fed, JobServiceConfig::default());
+    let cli = client(&fed, &svc, "alice-web");
+    let scattered = |id: u64| {
+        svc.job_trace(id)
+            .unwrap()
+            .iter()
+            .filter(|(_, action, _)| action == "scatter")
+            .count()
+    };
+
+    let id = cli.submit("alice", ordered_three_sql()).unwrap();
+    // Admit and plan, then one scattered step per quantum.
+    svc.pump();
+    assert_eq!(scattered(id), 0);
+    for step in 1..=2 {
+        svc.pump();
+        assert_eq!(cli.poll(id).unwrap().state, JobState::Running);
+        assert_eq!(scattered(id), step, "one scattered step per quantum");
+    }
+
+    svc.run_until_idle(100_000);
+    let status = cli.poll(id).unwrap();
+    assert_eq!(status.state, JobState::Succeeded, "{:?}", status.error);
+    assert_eq!(scattered(id), 3);
+    assert_eq!(
+        cli.fetch(id).unwrap().to_votable("result").to_xml(),
+        reference.to_votable("result").to_xml(),
+        "sliced sharded job diverged from the synchronous Portal run"
+    );
+
+    let id2 = cli.submit("alice", ordered_three_sql()).unwrap();
+    svc.pump();
+    svc.pump();
+    assert_eq!(cli.poll(id2).unwrap().state, JobState::Running);
+    assert!(cli.cancel(id2).unwrap());
+    for node in &fed.nodes {
+        assert!(node.checkpoints().is_empty(), "{}", node.info().name);
+        assert!(node.open_transfers().is_empty(), "{}", node.info().name);
+        assert_eq!(node.active_leases(), 0, "{}", node.info().name);
+    }
+    assert_eq!(cli.poll(id2).unwrap().state, JobState::Cancelled);
 }
